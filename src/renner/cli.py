@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Builds a Renner monoid from a Cartan type and a dominant weight (or the
-weight's zero pattern) and prints the cross-section lattice, a chosen
-conjugacy classification, per-stratum class counts, or the irreducible
-representation count, as a table, JSON, or CSV.  Exit codes: 0 success,
-2 invalid input, 3 size cap exceeded.
+Reads a Cartan type and a dominant weight (or the weight's zero pattern) and
+prints the cross-section lattice, a chosen conjugacy classification,
+per-stratum class counts, or the irreducible representation count, as a
+table, JSON, or CSV.  Only ``build`` and ``classes`` build the monoid;
+``counts`` and ``reps`` read the lattice and check ``--max-monoid-order``
+against the closed-form |R|.  Exit codes: 0 success, 2 invalid input, 3 size
+cap exceeded.
 """
 
 from __future__ import annotations
@@ -26,16 +28,17 @@ from .conj import (
     semigroup_conjugacy_classes,
     sim_conjugacy_classes,
 )
-from .crosslat import DominantWeightSpec, cross_section_lattice
+from .crosslat import CrossSectionLattice, DominantWeightSpec, build_lattice
 from .errors import RennerError, SizeCapExceeded
 from .monoid import (
     DEFAULT_MAX_MONOID_ORDER,
     RennerMonoid,
     build_renner,
+    check_monoid_cap,
     element_label,
     monoid_to_json,
 )
-from .rootsys import DEFAULT_MAX_GROUP_ORDER, cartan_matrix, generate_weyl
+from .rootsys import DEFAULT_MAX_GROUP_ORDER, CartanMatrix, cartan_matrix
 
 _TYPE_RE = re.compile(r"^([A-Ga-g])\s*(\d+)$")
 
@@ -54,26 +57,28 @@ def _parse_int_list(text: str) -> list[int]:
         raise ValueError(f"cannot parse integer list {text!r}") from exc
 
 
-def _weight_spec(args: argparse.Namespace, rank: int) -> DominantWeightSpec:
+def _type_and_weight(args: argparse.Namespace) -> tuple[CartanMatrix, tuple[int, ...]]:
+    letter, rank = _parse_type(args.type)
+    cartan = cartan_matrix(letter, rank)
     if args.weight is not None:
         coords = _parse_int_list(args.weight)
         if len(coords) != rank:
             raise ValueError(f"weight has {len(coords)} entries, expected {rank}")
-        return DominantWeightSpec.from_weight(coords)
+        return cartan, DominantWeightSpec.from_weight(coords).mu
     indices = _parse_int_list(args.j0)
     for i in indices:
         if not 1 <= i <= rank:
             raise ValueError(f"--j0 index {i} out of range 1..{rank}")
-    return DominantWeightSpec.from_j0(rank, [i - 1 for i in indices])
+    return cartan, DominantWeightSpec.from_j0(rank, [i - 1 for i in indices]).mu
+
+
+def _lattice(args: argparse.Namespace) -> CrossSectionLattice:
+    return build_lattice(*_type_and_weight(args), max_group_order=args.max_group_order)
 
 
 def _build_monoid(args: argparse.Namespace) -> RennerMonoid:
-    letter, rank = _parse_type(args.type)
-    cartan = cartan_matrix(letter, rank)
-    spec = _weight_spec(args, rank)
     return build_renner(
-        cartan,
-        spec.mu,
+        *_type_and_weight(args),
         max_group_order=args.max_group_order,
         max_monoid_order=args.max_monoid_order,
     )
@@ -107,11 +112,8 @@ def _set_notation(indices: frozenset[int]) -> str:
 
 
 def cmd_lattice(args: argparse.Namespace) -> None:
-    letter, rank = _parse_type(args.type)
-    cartan = cartan_matrix(letter, rank)
-    spec = _weight_spec(args, rank)
-    group = generate_weyl(cartan, spec.mu, max_order=args.max_group_order)
-    lattice = cross_section_lattice(group, spec)
+    lattice = _lattice(args)
+    cartan = lattice.group.cartan
     header = ["e", "lambda_star", "lambda_sub", "|W(e)|", "|W_*(e)|"]
     rows = [
         [
@@ -126,8 +128,8 @@ def cmd_lattice(args: argparse.Namespace) -> None:
     if args.format == "json":
         _emit_json(
             {
-                "type": f"{letter}{rank}",
-                "weight": list(spec.mu),
+                "type": f"{cartan.letter}{cartan.rank}",
+                "weight": list(lattice.weight_spec.mu),
                 "idempotents": [
                     {
                         "label": e.label,
@@ -173,10 +175,7 @@ _KINDS = {
 
 def cmd_classes(args: argparse.Namespace) -> None:
     monoid = _build_monoid(args)
-    if args.kind in ("semigroup", "action"):
-        classification = _KINDS[args.kind](monoid, max_size=args.max_monoid_order)
-    else:
-        classification = _KINDS[args.kind](monoid)
+    classification = _KINDS[args.kind](monoid)
     if args.format == "json":
         _emit_json(classification_to_json(monoid, classification))
         return
@@ -193,43 +192,27 @@ def cmd_classes(args: argparse.Namespace) -> None:
         return
     print(f"kind: {classification.kind}")
     print(f"classes: {classification.class_count}")
-    blocks: dict[str, list[tuple[str, int]]] = {}
-    order: list[str] = []
+    blocks: dict[str, list[tuple[str, int]]] = {}  # in first-seen order
     for e, cls, rep in zip(
         classification.strata, classification.classes, classification.representatives
     ):
         key = e.label if e is not None else "(all)"
-        if key not in blocks:
-            blocks[key] = []
-            order.append(key)
-        blocks[key].append((element_label(monoid, rep), len(cls)))
-    for key in order:
-        print(f"stratum {key}: {len(blocks[key])} classes")
-        for label, size in blocks[key]:
+        blocks.setdefault(key, []).append((element_label(monoid, rep), len(cls)))
+    for key, block in blocks.items():
+        print(f"stratum {key}: {len(block)} classes")
+        for label, size in block:
             print(f"  {label}  (size {size})")
 
 
 def cmd_counts(args: argparse.Namespace) -> None:
-    monoid = _build_monoid(args)
-    rows = orbit_report_rows(monoid)
+    lattice = _lattice(args)
+    check_monoid_cap(lattice, args.max_monoid_order)
+    rows = orbit_report_rows(lattice)
     total = sum(row[4] for row in rows)
     header = ["e", "|W(e)|", "|W_*(e)|", "coset_count", "n_e"]
     if args.format == "json":
-        _emit_json(
-            {
-                "strata": [
-                    {
-                        "e": row[0],
-                        "centralizer_order": row[1],
-                        "stabilizer_order": row[2],
-                        "coset_count": row[3],
-                        "n_e": row[4],
-                    }
-                    for row in rows
-                ],
-                "total": total,
-            }
-        )
+        keys = ("e", "centralizer_order", "stabilizer_order", "coset_count", "n_e")
+        _emit_json({"strata": [dict(zip(keys, row)) for row in rows], "total": total})
     elif args.format == "csv":
         _emit_csv(header, rows)
     else:
@@ -238,8 +221,9 @@ def cmd_counts(args: argparse.Namespace) -> None:
 
 
 def cmd_reps(args: argparse.Namespace) -> None:
-    monoid = _build_monoid(args)
-    count = irreducible_rep_count(monoid)
+    lattice = _lattice(args)
+    check_monoid_cap(lattice, args.max_monoid_order)
+    count = irreducible_rep_count(lattice)
     if args.format == "json":
         _emit_json({"irreducible_representations": count})
     else:
@@ -247,8 +231,6 @@ def cmd_reps(args: argparse.Namespace) -> None:
 
 
 def cmd_rook_count(args: argparse.Namespace) -> None:
-    if args.points < 0:
-        raise ValueError("the number of points must be nonnegative")
     count = munn_count_rook(args.points)
     if args.format == "json":
         _emit_json({"points": args.points, "munn_classes": count})

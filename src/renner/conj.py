@@ -6,15 +6,17 @@ parts), semigroup conjugacy (transitive closure of xy ~ yx), and action
 conjugacy (transitive closure of the partial conjugation action).  Unit
 conjugacy is computed stratum-by-stratum through coset orbits and also by
 brute force; the brute-force partitions validate the structured ones in the
-test suite.
+test suite.  The class and representation counts need only the
+cross-section lattice, not the monoid.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .crosslat import CrossIdempotent
+from .crosslat import CrossIdempotent, CrossSectionLattice
 from .errors import ConstructionError, SizeCapExceeded
 from .monoid import RennerMonoid, element_label, project
 from .partialinj import (
@@ -24,7 +26,7 @@ from .partialinj import (
     invertible_part,
     stable_domain,
 )
-from .rootsys import WeylElement, group_conjugacy_classes
+from .rootsys import WeylElement, group_conjugacy_classes, left_cosets
 
 # Pairwise oracles are O(|R|^2); keep them desk-scale by default.
 DEFAULT_PAIRWISE_CAP = 2000
@@ -42,6 +44,7 @@ class UnionFind:
         return x
 
     def union(self, a: int, b: int) -> None:
+        """Merge the classes of a and b; a class's root is its least member."""
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[max(ra, rb)] = min(ra, rb)
@@ -84,50 +87,35 @@ class ConjClassification:
         return frozenset(self.classes)
 
 
-def _coset_orbits(monoid: RennerMonoid, e: CrossIdempotent) -> OrbitReport:
+def _coset_orbits(lattice: CrossSectionLattice, e: CrossIdempotent) -> OrbitReport:
     """Orbits of the centralizer on the left cosets of the stabilizer,
     acting by conjugation.  The zero stratum is the single class of 0."""
-    group = monoid.group
+    group = lattice.group
     if e.is_zero:
         return OrbitReport(e, 1, 1, (group.identity,), (1,))
-    stab = monoid.lattice.stabilizer(e)
-    coset_of: dict[WeylElement, int] = {}
-    coset_min: list[WeylElement] = []
-    for w in group.elements:  # (length, word) order: first hit is the min rep
-        if w in coset_of:
-            continue
-        cid = len(coset_min)
-        coset_min.append(w)
-        for h in stab.members:
-            coset_of[group.mul(w, h)] = cid
+    coset_min, coset_of = left_cosets(lattice.stabilizer(e))
     uf = UnionFind(len(coset_min))
     cent_gens = [group.generators[j] for j in sorted(e.lambda_set)]
     for cid, u in enumerate(coset_min):
         for g in cent_gens:
             uf.union(cid, coset_of[group.conjugate(g, u)])
-    orbit_best: dict[int, WeylElement] = {}
-    orbit_size: dict[int, int] = {}
-    for cid, u in enumerate(coset_min):
-        root = uf.find(cid)
-        orbit_size[root] = orbit_size.get(root, 0) + 1
-        best = orbit_best.get(root)
-        if best is None or u.canonical_key() < best.canonical_key():
-            orbit_best[root] = u
-    ordered = sorted(orbit_best.items(), key=lambda kv: kv[1].canonical_key())
-    reps = tuple(u for _, u in ordered)
-    sizes = tuple(orbit_size[root] for root, _ in ordered)
-    return OrbitReport(e, len(coset_min), len(reps), reps, sizes)
+    # Each root is its orbit's least coset number, and coset_min is in
+    # (length, word) order, so the roots name the orbits' least members and
+    # first appear in increasing order.
+    sizes = Counter(uf.find(cid) for cid in range(len(coset_min)))
+    reps = tuple(coset_min[root] for root in sizes)
+    return OrbitReport(e, len(coset_min), len(reps), reps, tuple(sizes.values()))
 
 
-def stratum_orbit_reports(monoid: RennerMonoid) -> tuple[OrbitReport, ...]:
+def stratum_orbit_reports(lattice: CrossSectionLattice) -> tuple[OrbitReport, ...]:
     """One report per lattice idempotent, in lattice order."""
-    return tuple(_coset_orbits(monoid, e) for e in monoid.lattice.idempotents)
+    return tuple(_coset_orbits(lattice, e) for e in lattice.idempotents)
 
 
-def count_sim_classes(monoid: RennerMonoid) -> int:
+def count_sim_classes(lattice: CrossSectionLattice) -> int:
     """Number of unit-conjugacy classes: the orbit counts summed over the
     lattice (the zero stratum contributing one)."""
-    return sum(r.orbit_count for r in stratum_orbit_reports(monoid))
+    return sum(r.orbit_count for r in stratum_orbit_reports(lattice))
 
 
 def _unit_conjugation_pairs(monoid: RennerMonoid, gens_only: bool = False):
@@ -146,7 +134,7 @@ def sim_conjugacy_classes(monoid: RennerMonoid) -> ConjClassification:
     strata: list[Optional[CrossIdempotent]] = [monoid.lattice.zero]
     conj_pairs = _unit_conjugation_pairs(monoid)
     for e in monoid.lattice.nonzero:
-        report = _coset_orbits(monoid, e)
+        report = _coset_orbits(monoid.lattice, e)
         e_map = monoid.idempotent_map(e)
         for u in report.orbit_reps:
             rep = compose(monoid.unit_for(u), e_map)
@@ -162,12 +150,13 @@ def sim_conjugacy_classes(monoid: RennerMonoid) -> ConjClassification:
 def _classes_from_unionfind(
     monoid: RennerMonoid, uf: UnionFind, kind: str, with_strata: bool
 ) -> ConjClassification:
+    # Keyed by root, each class's least index, so the classes come in the
+    # order of their least members.
     groups: dict[int, list[int]] = {}
     for idx in range(len(monoid.elements)):
         groups.setdefault(uf.find(idx), []).append(idx)
-    ordered = sorted(groups.values(), key=min)
-    classes = tuple(frozenset(monoid.elements[i] for i in idxs) for idxs in ordered)
-    reps = tuple(monoid.elements[min(idxs)] for idxs in ordered)
+    classes = tuple(frozenset(monoid.elements[i] for i in idxs) for idxs in groups.values())
+    reps = tuple(monoid.elements[root] for root in groups)
     if with_strata:
         strata = tuple(monoid.stratum_of(rep) for rep in reps)
     else:
@@ -194,14 +183,13 @@ def munn_classes(monoid: RennerMonoid) -> ConjClassification:
     for e in monoid.lattice.nonzero:
         star = monoid.lattice.star_group(e)
         e_map = monoid.idempotent_map(e)
-        realized = [(u, compose(monoid.unit_for(u), e_map)) for u in star.members]
-        members = [p for _, p in realized]
+        members = [compose(monoid.unit_for(u), e_map) for u in star.members]
         if len(set(members)) != len(members):
             raise ConstructionError("lambda_star subgroup does not embed on its face")
         inverses = [inverse(p) for p in members]
         table: dict[PartialInjection, int] = {}
         count = 0
-        for _, p in realized:  # (length, word) order of the underlying units
+        for p in members:  # (length, word) order of the underlying units
             if p in table:
                 continue
             cid = count
@@ -271,7 +259,7 @@ def action_conjugacy_classes(
     return _classes_from_unionfind(monoid, uf, "action", with_strata=False)
 
 
-def irreducible_rep_count(monoid: RennerMonoid) -> int:
+def irreducible_rep_count(lattice: CrossSectionLattice) -> int:
     """Number of inequivalent irreducible representations over a field of
     characteristic zero: conjugacy classes of the lambda_star parabolic
     summed over the lattice, the zero stratum contributing one.
@@ -280,8 +268,8 @@ def irreducible_rep_count(monoid: RennerMonoid) -> int:
     makes it an independent route against the element-level Munn count.
     """
     total = 1
-    for e in monoid.lattice.nonzero:
-        total += len(group_conjugacy_classes(monoid.lattice.star_group(e)))
+    for e in lattice.nonzero:
+        total += len(group_conjugacy_classes(lattice.star_group(e)))
     return total
 
 
@@ -325,11 +313,10 @@ def classification_to_json(
     }
 
 
-def orbit_report_rows(monoid: RennerMonoid) -> list[list]:
+def orbit_report_rows(lattice: CrossSectionLattice) -> list[list]:
     """Rows (e, |W(e)|, |W_*(e)|, coset_count, n_e), one per idempotent."""
     rows = []
-    lattice = monoid.lattice
-    for report in stratum_orbit_reports(monoid):
+    for report in stratum_orbit_reports(lattice):
         e = report.idempotent
         rows.append(
             [

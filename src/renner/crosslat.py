@@ -15,8 +15,17 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import ConstructionError
-from .rootsys import CartanMatrix, Subgroup, WeylGroup, parabolic
+from .errors import ConstructionError, FaithfulnessError
+from .rootsys import (
+    DEFAULT_MAX_GROUP_ORDER,
+    CartanMatrix,
+    Subgroup,
+    WeylGroup,
+    bfs_orbit,
+    generate_weyl,
+    parabolic,
+    standard_weyl_order,
+)
 
 
 @dataclass(frozen=True)
@@ -129,16 +138,8 @@ def _face_label(lambda_star: frozenset[int], rank: int) -> str:
 def _parabolic_orbit(group: WeylGroup, indices: frozenset[int], start: int) -> frozenset[int]:
     """Orbit of a vertex under the parabolic generated by the given simple
     reflections, computed directly on vertex indices."""
-    perms = [group.generators[j].perm for j in sorted(indices)]
-    seen = {start}
-    queue = [start]
-    for v in queue:
-        for p in perms:
-            u = p[v]
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return frozenset(seen)
+    moves = [group.generators[j].perm.__getitem__ for j in sorted(indices)]
+    return frozenset(bfs_orbit(start, moves))
 
 
 class CrossSectionLattice:
@@ -148,6 +149,10 @@ class CrossSectionLattice:
     (size, indices); the top (the monoid identity) comes last.  The order on
     nonzero idempotents is lambda_star inclusion, verified at build time to
     agree with face inclusion, which is the idempotent-product order.
+
+    ``_subgroup_cache`` is a memo filled on first use.  Its entries are
+    deterministic functions of the key, so a concurrent fill stores equal
+    values and the lattice is safe to share.
     """
 
     def __init__(
@@ -208,6 +213,17 @@ class CrossSectionLattice:
             return self._parabolic(())
         return self._parabolic(e.lambda_star)
 
+    def stratum_size(self, e: CrossIdempotent) -> int:
+        """|W e W| = |W|^2 / (|W(e)| * |W_*(e)|), by the Renner
+        decomposition; the zero's conventions (both subgroups are W) give 1."""
+        w = self.group.order
+        return (w // self.centralizer(e).order) * (w // self.stabilizer(e).order)
+
+    @property
+    def monoid_order(self) -> int:
+        """|R|, the stratum sizes summed over the lattice."""
+        return sum(self.stratum_size(e) for e in self.idempotents)
+
     def _verify(self) -> None:
         group = self.group
         j0 = self.weight_spec.j0
@@ -262,3 +278,24 @@ def cross_section_lattice(
                 )
             )
     return CrossSectionLattice(group, weight_spec, tuple(idems))
+
+
+def build_lattice(
+    cartan: CartanMatrix, mu: Sequence[int], *, max_group_order: int = DEFAULT_MAX_GROUP_ORDER
+) -> CrossSectionLattice:
+    """The cross-section lattice of the J-irreducible monoid with highest
+    weight ``mu`` over the given Cartan type.
+
+    Generates the Weyl group on the orbit of ``mu`` (a weight of the wrong
+    length is a ``ValueError`` there) and checks that it acts faithfully, so
+    every count read off the lattice is the monoid's.
+    """
+    spec = DominantWeightSpec(tuple(mu))
+    group = generate_weyl(cartan, spec.mu, max_order=max_group_order)
+    expected = standard_weyl_order(cartan.letter, cartan.rank)
+    if group.order != expected:
+        raise FaithfulnessError(
+            f"Weyl group acts unfaithfully on the orbit of {spec.mu}: "
+            f"closure has order {group.order}, expected {expected}"
+        )
+    return cross_section_lattice(group, spec)

@@ -10,30 +10,13 @@ picking the shortest, lex-least unit makes that normal form canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
-from .crosslat import (
-    CrossIdempotent,
-    CrossSectionLattice,
-    DominantWeightSpec,
-    cross_section_lattice,
-)
-from .errors import (
-    ConstructionError,
-    FaithfulnessError,
-    NotInOrbit,
-    SizeCapExceeded,
-    ZeroElement,
-)
+from .crosslat import CrossIdempotent, CrossSectionLattice, build_lattice
+from .errors import ConstructionError, NotInOrbit, SizeCapExceeded, ZeroElement
 from .partialinj import PartialInjection, compose, inverse, restrict, stable_domain
-from .rootsys import (
-    DEFAULT_MAX_GROUP_ORDER,
-    CartanMatrix,
-    WeylElement,
-    WeylGroup,
-    generate_weyl,
-    standard_weyl_order,
-)
+from .rootsys import DEFAULT_MAX_GROUP_ORDER, CartanMatrix, WeylElement, bfs_orbit
 
 DEFAULT_MAX_MONOID_ORDER = 250_000
 
@@ -63,13 +46,15 @@ class RennerMonoid:
     """A Renner monoid as a concrete set of partial injections.
 
     ``elements`` is in closure-discovery order (deterministic); the partial
-    order of strata, faces, and all derived maps are precomputed.  Instances
-    are immutable after construction and safe to share.
+    order of strata, faces, and all derived maps are precomputed.  The one
+    mutable field, ``_transporters``, is a memo filled on first use by
+    ``face_transporter``; its entries are deterministic functions of the
+    key, so a concurrent fill stores equal values and instances are safe to
+    share.
     """
 
     def __init__(
         self,
-        group: WeylGroup,
         lattice: CrossSectionLattice,
         elements: tuple[PartialInjection, ...],
         generators: tuple[PartialInjection, ...],
@@ -77,6 +62,7 @@ class RennerMonoid:
         face_orbits: dict[int, tuple[frozenset[int], ...]],
         strata: dict[int, tuple[int, ...]],
     ):
+        group = lattice.group
         self.group = group
         self.lattice = lattice
         self.elements = elements
@@ -148,16 +134,14 @@ class RennerMonoid:
         return compose(u, compose(sigma, self._unit_by_perm[self.group.inv(w).perm]))
 
 
-def _face_orbit(group: WeylGroup, face: frozenset[int]) -> tuple[frozenset[int], ...]:
-    seen = {face}
-    orbit = [face]
-    for f in orbit:
-        for g in group.generators:
-            h = group.apply_to_face(g, f)
-            if h not in seen:
-                seen.add(h)
-                orbit.append(h)
-    return tuple(orbit)
+def check_monoid_cap(lattice: CrossSectionLattice, max_monoid_order: int) -> None:
+    """Refuse, before any element is made, a monoid whose closed-form order
+    passes the cap."""
+    order = lattice.monoid_order
+    if order > max_monoid_order:
+        raise SizeCapExceeded(
+            f"Renner monoid of order {order} exceeds the cap {max_monoid_order}"
+        )
 
 
 def build_renner(
@@ -172,42 +156,27 @@ def build_renner(
 
     The element set is the multiplicative closure of the Weyl permutations of
     the weight orbit together with the partial identities on the lattice
-    faces (the empty face contributing the zero map).
+    faces (the empty face contributing the zero map).  The cap is checked
+    against the closed-form order before the closure starts, and every
+    stratum of the closure must have its closed-form size.
     """
-    spec = DominantWeightSpec(tuple(mu))
-    if len(spec.mu) != cartan.rank:
-        raise ValueError(f"weight has length {len(spec.mu)}, expected rank {cartan.rank}")
-    group = generate_weyl(cartan, spec.mu, max_order=max_group_order)
-    expected = standard_weyl_order(cartan.letter, cartan.rank)
-    if group.order != expected:
-        raise FaithfulnessError(
-            f"Weyl group acts unfaithfully on the orbit of {spec.mu}: "
-            f"closure has order {group.order}, expected {expected}"
-        )
-    lattice = cross_section_lattice(group, spec)
+    lattice = build_lattice(cartan, mu, max_group_order=max_group_order)
+    check_monoid_cap(lattice, max_monoid_order)
+    group = lattice.group
     degree = group.degree
 
-    gen_list: list[PartialInjection] = []
-    seen_gens: set[PartialInjection] = set()
-    for g in group.generators:
-        p = PartialInjection(g.perm)
-        if p not in seen_gens:
-            seen_gens.add(p)
-            gen_list.append(p)
-    for e in lattice.idempotents:
-        p = PartialInjection.partial_identity(degree, e.face_vertices)
-        if p not in seen_gens:
-            seen_gens.add(p)
-            gen_list.append(p)
-    generators = tuple(gen_list)
+    units = [PartialInjection(g.perm) for g in group.generators]
+    idems = [PartialInjection.partial_identity(degree, e.face_vertices) for e in lattice]
+    generators = tuple(dict.fromkeys(units + idems))  # drops repeats, keeps first-seen order
 
     elems: dict[PartialInjection, int] = {}
+    predicted = lattice.monoid_order
 
     def add(p: PartialInjection) -> bool:
         if p in elems:
             return False
-        if len(elems) >= max_monoid_order:
-            raise SizeCapExceeded(f"Renner monoid exceeds the cap {max_monoid_order}")
+        if len(elems) >= predicted:
+            raise ConstructionError("the closure outgrows the closed-form order")
         elems[p] = len(elems)
         return True
 
@@ -227,8 +196,9 @@ def build_renner(
 
     face_to_idem: dict[frozenset[int], CrossIdempotent] = {}
     face_orbits: dict[int, tuple[frozenset[int], ...]] = {}
+    face_moves = [partial(group.apply_to_face, g) for g in group.generators]
     for e in lattice.idempotents:
-        orbit = _face_orbit(group, e.face_vertices)
+        orbit = bfs_orbit(e.face_vertices, face_moves)
         for f in orbit:
             if f in face_to_idem:
                 raise ConstructionError("face orbits of distinct idempotents overlap")
@@ -243,14 +213,12 @@ def build_renner(
             raise ConstructionError("element escapes the stratum decomposition")
         strata_lists[e_dom.index].append(idx)
     strata = {k: tuple(v) for k, v in strata_lists.items()}
+    # The top stratum's closed-form size is |W|, so this also pins the units.
+    for e in lattice.idempotents:
+        if len(strata[e.index]) != lattice.stratum_size(e):
+            raise ConstructionError(f"stratum {e.label} differs from its closed-form size")
 
-    monoid = RennerMonoid(
-        group, lattice, elements, generators, face_to_idem, face_orbits, strata
-    )
-    unit_count = sum(1 for p in elements if len(p.domain) == degree)
-    if unit_count != group.order:
-        raise ConstructionError("unit group of the closure differs from the Weyl group")
-    return monoid
+    return RennerMonoid(lattice, elements, generators, face_to_idem, face_orbits, strata)
 
 
 def normal_form(monoid: RennerMonoid, sigma: PartialInjection) -> NormalForm:

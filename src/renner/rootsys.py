@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, partial
+from operator import itemgetter
+from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
 from .errors import InvalidType, SizeCapExceeded
 
@@ -20,6 +21,7 @@ from .errors import InvalidType, SizeCapExceeded
 DEFAULT_MAX_GROUP_ORDER = 1152
 
 Weight = tuple[int, ...]
+T = TypeVar("T")
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 _FIXED_RANK = {"F": 4, "G": 2}
@@ -121,6 +123,36 @@ def reflect(cartan: CartanMatrix, i: int, v: Sequence[int]) -> Weight:
     return tuple(x - c * a for x, a in zip(v, row))
 
 
+def bfs_orbit(
+    start: T,
+    moves: Sequence[Callable[[T], T]],
+    *,
+    key: Optional[Callable[[T], Hashable]] = None,
+    max_size: Optional[int] = None,
+    what: str = "orbit",
+) -> tuple[T, ...]:
+    """Everything reachable from ``start`` by repeated ``moves``, in
+    breadth-first discovery order (moves tried in the order given).  Items
+    are told apart by ``key`` (default: the item itself) and the first one
+    reaching a key is kept; growing past ``max_size`` raises SizeCapExceeded.
+
+    >>> bfs_orbit(0, [lambda x: (x + 2) % 6, lambda x: (x + 3) % 6])
+    (0, 2, 3, 4, 5, 1)
+    """
+    seen = {start if key is None else key(start)}
+    order = [start]
+    for x in order:  # grows while we iterate
+        for move in moves:
+            y = move(x)
+            k = y if key is None else key(y)
+            if k not in seen:
+                if max_size is not None and len(order) >= max_size:
+                    raise SizeCapExceeded(f"{what} exceeds the cap {max_size}")
+                seen.add(k)
+                order.append(y)
+    return tuple(order)
+
+
 def weight_orbit(
     cartan: CartanMatrix, seed: Sequence[int], max_size: int = DEFAULT_MAX_GROUP_ORDER
 ) -> tuple[Weight, ...]:
@@ -128,17 +160,8 @@ def weight_orbit(
     start = tuple(seed)
     if len(start) != cartan.rank:
         raise ValueError(f"seed has length {len(start)}, expected rank {cartan.rank}")
-    seen = {start}
-    orbit = [start]
-    for v in orbit:  # grows while we iterate
-        for i in range(cartan.rank):
-            u = reflect(cartan, i, v)
-            if u not in seen:
-                if len(seen) >= max_size:
-                    raise SizeCapExceeded(f"weight orbit exceeds the cap {max_size}")
-                seen.add(u)
-                orbit.append(u)
-    return tuple(orbit)
+    moves = [partial(reflect, cartan, i) for i in range(cartan.rank)]
+    return bfs_orbit(start, moves, max_size=max_size, what="weight orbit")
 
 
 @dataclass(frozen=True)
@@ -191,9 +214,6 @@ class WeylGroup:
     def __contains__(self, w: WeylElement) -> bool:
         return self._by_perm.get(w.perm) == w
 
-    def element_with_perm(self, perm: tuple[int, ...]) -> WeylElement:
-        return self._by_perm[perm]
-
     def mul(self, a: WeylElement, b: WeylElement) -> WeylElement:
         """Product a*b, acting as b first (function composition)."""
         return self._by_perm[tuple(a.perm[x] for x in b.perm)]
@@ -234,27 +254,20 @@ def generate_weyl(
     """
     orbit = weight_orbit(cartan, seed, max_size=max_order)
     index = {v: k for k, v in enumerate(orbit)}
-    n = len(orbit)
     gen_perms = [
         tuple(index[reflect(cartan, i, v)] for v in orbit) for i in range(cartan.rank)
     ]
-    identity = WeylElement(tuple(range(n)), 0, ())
-    by_perm: dict[tuple[int, ...], WeylElement] = {identity.perm: identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i, g in enumerate(gen_perms):
-                p = tuple(w.perm[x] for x in g)
-                if p in by_perm:
-                    continue
-                if len(by_perm) >= max_order:
-                    raise SizeCapExceeded(f"Weyl group exceeds the cap {max_order}")
-                el = WeylElement(p, w.length + 1, w.word + (i,))
-                by_perm[p] = el
-                nxt.append(el)
-        frontier = nxt
-    elements = tuple(by_perm.values())
+
+    # Items are (perm, word) pairs told apart by the perm; the word that
+    # first reaches a perm is its lex-least reduced word.
+    def times(i: int, g: tuple[int, ...]) -> Callable[[tuple], tuple]:
+        return lambda item: (tuple(item[0][x] for x in g), item[1] + (i,))
+
+    start = (tuple(range(len(orbit))), ())
+    moves = [times(i, g) for i, g in enumerate(gen_perms)]
+    found = bfs_orbit(start, moves, key=itemgetter(0), max_size=max_order, what="Weyl group")
+    elements = tuple(WeylElement(perm, len(word), word) for perm, word in found)
+    by_perm = {w.perm: w for w in elements}
     generators = tuple(by_perm[g] for g in gen_perms)
     return WeylGroup(cartan, orbit, elements, generators)
 
@@ -283,20 +296,26 @@ class Subgroup:
 def parabolic(group: WeylGroup, indices: Iterable[int]) -> Subgroup:
     """Standard parabolic subgroup generated by the given simple reflections."""
     J = frozenset(indices)
-    gens = [group.generators[j] for j in sorted(J)]
-    seen = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                u = group.mul(w, g)
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    members = tuple(sorted(seen, key=WeylElement.canonical_key))
+    moves = [lambda w, g=group.generators[j]: group.mul(w, g) for j in sorted(J)]
+    members = tuple(sorted(bfs_orbit(group.identity, moves), key=WeylElement.canonical_key))
     return Subgroup(group, J, members)
+
+
+def left_cosets(sub: Subgroup) -> tuple[tuple[WeylElement, ...], dict[WeylElement, int]]:
+    """Tile the parent group by the left cosets w*W_J of a parabolic.
+
+    Returns the minimal-length member of each coset, in (length, word)
+    order, and the position of every group element's coset in that list.
+    """
+    group = sub.parent
+    coset_of: dict[WeylElement, int] = {}
+    reps: list[WeylElement] = []
+    for w in group.elements:  # (length, word) order: first hit is the min rep
+        if w in coset_of:
+            continue
+        coset_of.update((group.mul(w, h), len(reps)) for h in sub.members)
+        reps.append(w)
+    return tuple(reps), coset_of
 
 
 def min_coset_reps(group: WeylGroup, indices: Iterable[int]) -> tuple[WeylElement, ...]:
@@ -305,16 +324,7 @@ def min_coset_reps(group: WeylGroup, indices: Iterable[int]) -> tuple[WeylElemen
     Listed in (length, word) order.  For J empty this is the whole group;
     for J the full index set it is just the identity.
     """
-    sub = parabolic(group, indices)
-    covered: set[WeylElement] = set()
-    reps = []
-    for w in group.elements:  # already sorted by (length, word)
-        if w in covered:
-            continue
-        reps.append(w)
-        for h in sub.members:
-            covered.add(group.mul(w, h))
-    return tuple(reps)
+    return left_cosets(parabolic(group, indices))[0]
 
 
 def group_conjugacy_classes(sub: Subgroup) -> tuple[tuple[WeylElement, ...], ...]:

@@ -40,7 +40,7 @@ def test_criterion_1_canonical_sim_counts(canonical_a2, canonical_b2, canonical_
     expected = [("A2", canonical_a2, 18), ("B2", canonical_b2, 26), ("G2", canonical_g2, 35)]
     failures = []
     for name, R, want in expected:
-        counted = count_sim_classes(R)
+        counted = count_sim_classes(R.lattice)
         enumerated = sim_conjugacy_classes(R).class_count
         if not (counted == enumerated == want):
             failures.append(f"{name}: count={counted} classes={enumerated} want={want}")
@@ -51,7 +51,7 @@ def test_criterion_2_first_basic_sim_counts(basic_a2, basic_b2, basic_g2):
     expected = [("A2", basic_a2, 10), ("B2", basic_b2, 15), ("G2", basic_g2, 19)]
     failures = []
     for name, R, want in expected:
-        counted = count_sim_classes(R)
+        counted = count_sim_classes(R.lattice)
         enumerated = sim_conjugacy_classes(R).class_count
         if not (counted == enumerated == want):
             failures.append(f"{name}: count={counted} classes={enumerated} want={want}")
@@ -60,7 +60,7 @@ def test_criterion_2_first_basic_sim_counts(basic_a2, basic_b2, basic_g2):
 
 def test_criterion_3_canonical_g2_stratum_vector(canonical_g2):
     failures = []
-    reports = stratum_orbit_reports(canonical_g2)
+    reports = stratum_orbit_reports(canonical_g2.lattice)
     labels = [r.idempotent.label for r in reports]
     vector = [r.orbit_count for r in reports]
     if labels != ["0", "e_0", "e_1", "e_2", "1"]:
@@ -108,12 +108,12 @@ def test_criterion_5_rook_formula(basic_a1, basic_a2):
 def test_criterion_6_representation_count_bridge(acceptance_monoids, basic_a1):
     failures = []
     for name, R in acceptance_monoids:
-        reps = irreducible_rep_count(R)
+        reps = irreducible_rep_count(R.lattice)
         munn = munn_classes(R).class_count
         if reps != munn:
             failures.append(f"{name}: reps={reps} munn={munn}")
-    if irreducible_rep_count(basic_a1) != 4:
-        failures.append(f"R_2 reps={irreducible_rep_count(basic_a1)} want 4")
+    if irreducible_rep_count(basic_a1.lattice) != 4:
+        failures.append(f"R_2 reps={irreducible_rep_count(basic_a1.lattice)} want 4")
     _report("criterion 6: irreducible representation count equals Munn count", failures)
 
 

@@ -119,7 +119,11 @@ def test_missing_weight_and_j0_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_cap_exceeded_exit_3(capsys):
+def _no_closure(*args):
+    raise AssertionError("the closure ran")
+
+
+def test_cap_exceeded_exit_3(capsys, monkeypatch):
     code, _, err = run(
         capsys,
         "classes", "--type", "G2", "--weight", "1,1", "--kind", "sim",
@@ -131,6 +135,74 @@ def test_cap_exceeded_exit_3(capsys):
         "--max-group-order", "100",
     )
     assert code == 3
+    # Canonical G2 has |R| = 301: a cap of exactly |R| is allowed, one less
+    # is refused from the closed-form order, before the closure composes.
+    code, _, _ = run(
+        capsys, "build", "--type", "G2", "--weight", "1,1", "--max-monoid-order", "301"
+    )
+    assert code == 0
+    monkeypatch.setattr("renner.monoid.compose", _no_closure)
+    for command in (["build"], ["counts"], ["reps"], ["classes", "--kind", "munn"]):
+        code, out, err = run(
+            capsys, *command, "--type", "G2", "--weight", "1,1",
+            "--max-monoid-order", "300",
+        )
+        assert code == 3 and out == "" and "error:" in err, command
+
+
+def test_classes_semigroup_uses_the_pairwise_cap(capsys):
+    # 7057 elements: under the monoid cap, over the pairwise oracles' 2000.
+    code, out, err = run(
+        capsys, "classes", "--type", "B3", "--weight", "1,1,1", "--kind", "semigroup"
+    )
+    assert code == 3 and out == "" and "error:" in err
+
+
+G2_COUNT_ROWS = [
+    ["0", 12, 12, 1, 1],
+    ["e_0", 1, 1, 12, 12],
+    ["e_1", 2, 1, 12, 8],
+    ["e_2", 2, 1, 12, 8],
+    ["1", 12, 1, 12, 6],
+]
+
+COUNTS_AND_REPS_OUTPUT = {
+    ("counts", "table"): """\
+e    |W(e)|  |W_*(e)|  coset_count  n_e
+0    12      12        1            1
+e_0  1       1         12           12
+e_1  2       1         12           8
+e_2  2       1         12           8
+1    12      1         12           6
+total: 35
+""",
+    ("counts", "csv"): "e,|W(e)|,|W_*(e)|,coset_count,n_e\n"
+    + "".join(",".join(map(str, row)) + "\n" for row in G2_COUNT_ROWS),
+    ("counts", "json"): json.dumps(
+        {
+            "strata": [
+                dict(zip(
+                    ("e", "centralizer_order", "stabilizer_order", "coset_count", "n_e"),
+                    row,
+                ))
+                for row in G2_COUNT_ROWS
+            ],
+            "total": 35,
+        },
+        indent=2,
+        sort_keys=True,
+    ) + "\n",
+    ("reps", "table"): "12\n",
+    ("reps", "json"): '{\n  "irreducible_representations": 12\n}\n',
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(COUNTS_AND_REPS_OUTPUT))
+def test_counts_and_reps_never_build_the_monoid(capsys, monkeypatch, command, fmt):
+    monkeypatch.setattr("renner.cli.build_renner", _no_closure)
+    code, out, _ = run(capsys, command, "--type", "G2", "--weight", "1,1", "--format", fmt)
+    assert code == 0
+    assert out == COUNTS_AND_REPS_OUTPUT[command, fmt]
 
 
 def test_classes_table_blocks(capsys):

@@ -24,14 +24,14 @@ from renner.partialinj import PartialInjection, inverse, stable_domain
 
 
 def test_sim_counts_a2(canonical_a2, basic_a2):
-    assert count_sim_classes(canonical_a2) == 18
+    assert count_sim_classes(canonical_a2.lattice) == 18
     assert sim_conjugacy_classes(canonical_a2).class_count == 18
-    assert count_sim_classes(basic_a2) == 10
+    assert count_sim_classes(basic_a2.lattice) == 10
 
 
 def test_count_matches_bruteforce(acceptance_monoids):
     for name, R in acceptance_monoids:
-        assert count_sim_classes(R) == sim_classes_bruteforce(R).class_count, name
+        assert count_sim_classes(R.lattice) == sim_classes_bruteforce(R).class_count, name
 
 
 def test_sim_partition_matches_bruteforce(basic_b2):
@@ -82,7 +82,7 @@ def test_sim_classes_stay_inside_strata(acceptance_monoids):
 
 
 def test_orbit_reports(basic_a2):
-    reports = stratum_orbit_reports(basic_a2)
+    reports = stratum_orbit_reports(basic_a2.lattice)
     assert [r.orbit_count for r in reports] == [1, 2, 4, 3]
     assert [r.coset_count for r in reports] == [1, 3, 6, 6]
     group = basic_a2.group
@@ -91,7 +91,7 @@ def test_orbit_reports(basic_a2):
             continue
         stab_order = basic_a2.lattice.stabilizer(r.idempotent).order
         assert r.coset_count * stab_order == group.order
-    rows = orbit_report_rows(basic_a2)
+    rows = orbit_report_rows(basic_a2.lattice)
     assert rows[0] == ["0", 6, 6, 1, 1]
     assert sum(row[4] for row in rows) == 10
 
@@ -99,7 +99,7 @@ def test_orbit_reports(basic_a2):
 def test_orbit_sizes_sum_to_coset_count(canonical_g2):
     # Orbits partition the cosets, so per stratum the class count cannot
     # exceed the coset count and both ends are hit on the known monoids.
-    for r in stratum_orbit_reports(canonical_g2):
+    for r in stratum_orbit_reports(canonical_g2.lattice):
         assert 1 <= r.orbit_count <= r.coset_count
 
 
@@ -227,10 +227,10 @@ def test_representative_fidelity(basic_g2):
 
 
 def test_irreducible_rep_counts(basic_a2, basic_a1, canonical_b2):
-    assert irreducible_rep_count(basic_a2) == 7
-    assert irreducible_rep_count(basic_a1) == 4
-    assert irreducible_rep_count(canonical_b2) == 11
-    assert irreducible_rep_count(canonical_b2) == munn_classes(canonical_b2).class_count
+    assert irreducible_rep_count(basic_a2.lattice) == 7
+    assert irreducible_rep_count(basic_a1.lattice) == 4
+    assert irreducible_rep_count(canonical_b2.lattice) == 11
+    assert irreducible_rep_count(canonical_b2.lattice) == munn_classes(canonical_b2).class_count
 
 
 def test_rook_monoid_counts_match_partition_sums():
@@ -247,11 +247,11 @@ def test_rook_monoid_r4_as_first_basic_a3():
     R = make_monoid("A", 3, (1, 0, 0))
     assert R.degree == 4 and R.order == 209
     assert munn_classes(R).class_count == munn_count_rook(4) == 12
-    assert irreducible_rep_count(R) == 12
+    assert irreducible_rep_count(R.lattice) == 12
 
 
 def test_r2_sim_and_rep_counts(basic_a1):
-    assert count_sim_classes(basic_a1) == 5
+    assert count_sim_classes(basic_a1.lattice) == 5
     assert munn_classes(basic_a1).class_count == 4
 
 
@@ -284,9 +284,9 @@ def test_transpose_types_agree():
     for weight in [(1, 1), (1, 0), (0, 1)]:
         b = make_monoid("B", 2, weight)
         c = make_monoid("C", 2, weight)
-        assert count_sim_classes(b) == count_sim_classes(c)
+        assert count_sim_classes(b.lattice) == count_sim_classes(c.lattice)
         assert munn_classes(b).class_count == munn_classes(c).class_count
-        assert irreducible_rep_count(b) == irreducible_rep_count(c)
+        assert irreducible_rep_count(b.lattice) == irreducible_rep_count(c.lattice)
 
 
 def test_canonical_a3_and_relabelled_d3():
@@ -294,14 +294,14 @@ def test_canonical_a3_and_relabelled_d3():
     d3 = make_monoid("D", 3, (1, 1, 1))
     for R in (a3, d3):
         assert R.order == 1801
-        assert count_sim_classes(R) == 96
-        assert irreducible_rep_count(R) == 23
+        assert count_sim_classes(R.lattice) == 96
+        assert irreducible_rep_count(R.lattice) == 23
     assert sim_classes_bruteforce(a3).class_count == 96
 
 
 def test_orbit_sizes_partition_cosets(acceptance_monoids):
     for _, R in acceptance_monoids:
-        for report in stratum_orbit_reports(R):
+        for report in stratum_orbit_reports(R.lattice):
             assert len(report.orbit_sizes) == report.orbit_count
             assert sum(report.orbit_sizes) == report.coset_count
 
@@ -309,7 +309,7 @@ def test_orbit_sizes_partition_cosets(acceptance_monoids):
 def test_canonical_g2_middle_stratum_orbit_shapes(canonical_g2):
     # In the e_1 stratum the centralizer is the order-2 parabolic acting on
     # twelve singleton cosets: four fixed points and four swapped pairs.
-    report = stratum_orbit_reports(canonical_g2)[2]
+    report = stratum_orbit_reports(canonical_g2.lattice)[2]
     assert report.idempotent.label == "e_1"
     assert report.coset_count == 12
     assert sorted(report.orbit_sizes) == [1, 1, 1, 1, 2, 2, 2, 2]
@@ -320,10 +320,10 @@ def test_first_basic_b3_full_stack():
     # instance of every classification path.
     R = make_monoid("B", 3, (1, 0, 0))
     assert R.order == 757 and R.degree == 6
-    assert count_sim_classes(R) == 38
+    assert count_sim_classes(R.lattice) == 38
     assert sim_classes_bruteforce(R).class_count == 38
     munn = munn_classes(R)
     assert munn.class_count == 17
-    assert irreducible_rep_count(R) == 17
+    assert irreducible_rep_count(R.lattice) == 17
     assert munn.partition() == semigroup_conjugacy_classes(R).partition()
     assert munn.partition() == action_conjugacy_classes(R).partition()

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -73,6 +74,27 @@ def test_orders_match_stratum_size_formula(acceptance_monoids):
             for e in lattice.nonzero
         )
         assert R.order == expected, name
+
+
+def test_strata_have_their_closed_form_sizes():
+    # Every type of rank <= 3 and every zero pattern with |R| <= 5000; only
+    # the two canonical rank-3 monoids of types B and C (7057) lie above.
+    skipped = []
+    for letter, rank in (
+        ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
+        ("D", 3), ("G", 2),
+    ):
+        for mu in itertools.product((1, 0), repeat=rank):
+            if not any(mu):
+                continue
+            try:
+                R = make_monoid(letter, rank, mu, max_monoid_order=5000)
+            except SizeCapExceeded:
+                skipped.append(f"{letter}{rank}{mu}")
+                continue
+            for e in R.lattice.idempotents:
+                assert len(R.strata[e.index]) == R.lattice.stratum_size(e), (letter, mu)
+    assert skipped == ["B3(1, 1, 1)", "C3(1, 1, 1)"]
 
 
 def test_canonical_a2_bottom_stratum_size(canonical_a2):
