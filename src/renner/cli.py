@@ -19,6 +19,7 @@ import sys
 from typing import Optional, Sequence
 
 from .conj import (
+    DEFAULT_PAIRWISE_CAP,
     action_conjugacy_classes,
     classification_to_json,
     irreducible_rep_count,
@@ -76,11 +77,11 @@ def _lattice(args: argparse.Namespace) -> CrossSectionLattice:
     return build_lattice(*_type_and_weight(args), max_group_order=args.max_group_order)
 
 
-def _build_monoid(args: argparse.Namespace) -> RennerMonoid:
+def _build_monoid(args: argparse.Namespace, max_monoid_order: int) -> RennerMonoid:
     return build_renner(
         *_type_and_weight(args),
         max_group_order=args.max_group_order,
-        max_monoid_order=args.max_monoid_order,
+        max_monoid_order=max_monoid_order,
     )
 
 
@@ -149,7 +150,7 @@ def cmd_lattice(args: argparse.Namespace) -> None:
 
 
 def cmd_build(args: argparse.Namespace) -> None:
-    monoid = _build_monoid(args)
+    monoid = _build_monoid(args, args.max_monoid_order)
     if args.format == "json":
         _emit_json(monoid_to_json(monoid))
         return
@@ -174,7 +175,11 @@ _KINDS = {
 
 
 def cmd_classes(args: argparse.Namespace) -> None:
-    monoid = _build_monoid(args)
+    cap = args.max_monoid_order
+    if args.kind in ("semigroup", "action"):
+        # The pairwise oracles' own cap, checked before the build, not after.
+        cap = min(cap, DEFAULT_PAIRWISE_CAP)
+    monoid = _build_monoid(args, cap)
     classification = _KINDS[args.kind](monoid)
     if args.format == "json":
         _emit_json(classification_to_json(monoid, classification))

@@ -21,7 +21,6 @@ from .rootsys import (
     CartanMatrix,
     Subgroup,
     WeylGroup,
-    bfs_orbit,
     generate_weyl,
     parabolic,
     standard_weyl_order,
@@ -135,11 +134,9 @@ def _face_label(lambda_star: frozenset[int], rank: int) -> str:
     return "e_" + "".join(str(i + 1) for i in sorted(lambda_star))
 
 
-def _parabolic_orbit(group: WeylGroup, indices: frozenset[int], start: int) -> frozenset[int]:
-    """Orbit of a vertex under the parabolic generated by the given simple
-    reflections, computed directly on vertex indices."""
-    moves = [group.generators[j].perm.__getitem__ for j in sorted(indices)]
-    return frozenset(bfs_orbit(start, moves))
+def _seed_orbit(sub: Subgroup) -> frozenset[int]:
+    """The orbit of the seed weight (vertex 0) under a subgroup."""
+    return frozenset(w.perm[0] for w in sub.members)
 
 
 class CrossSectionLattice:
@@ -239,7 +236,7 @@ class CrossSectionLattice:
                 raise ConstructionError(f"lambda_sub escapes the zero pattern for {e.label}")
             # The lambda_sub generators fix the seed, so the lambda orbit must
             # collapse to the lambda_star orbit.
-            if _parabolic_orbit(group, e.lambda_set, 0) != e.face_vertices:
+            if _seed_orbit(self._parabolic(e.lambda_set)) != e.face_vertices:
                 raise ConstructionError(f"face of {e.label} moves under its stabilizer")
         for e in self.nonzero:
             for f in self.nonzero:
@@ -274,7 +271,7 @@ def cross_section_lattice(
                     lambda_star=lam_star,
                     lambda_sub=lambda_sub_star(lam_star, j0, cartan),
                     is_zero=False,
-                    face_vertices=_parabolic_orbit(group, lam_star, 0),
+                    face_vertices=_seed_orbit(parabolic(group, lam_star)),
                 )
             )
     return CrossSectionLattice(group, weight_spec, tuple(idems))

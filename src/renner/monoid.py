@@ -1,21 +1,23 @@
 """Renner monoids of J-irreducible type, built inside the rook monoid on a
 weight orbit.
 
-The monoid is the multiplicative closure of the Weyl permutations and the
-partial identities on the lattice faces.  Every nonzero element factors as
-(partial identity on its range) * unit * (partial identity on its domain);
-picking the shortest, lex-least unit makes that normal form canonical.
+By the Renner decomposition R is the disjoint union of the strata W e W
+over the cross-section lattice, and u*e*v is the unit uv restricted to the
+face v^{-1}(F_e); the monoid is built by enumerating these restrictions.
+Every nonzero element factors as (partial identity on its range) * unit *
+(partial identity on its domain); the shortest, lex-least unit restricting
+to it makes that normal form canonical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .crosslat import CrossIdempotent, CrossSectionLattice, build_lattice
 from .errors import ConstructionError, NotInOrbit, SizeCapExceeded, ZeroElement
-from .partialinj import PartialInjection, compose, inverse, restrict, stable_domain
+from .partialinj import PartialInjection, compose, inverse, stable_domain
 from .rootsys import DEFAULT_MAX_GROUP_ORDER, CartanMatrix, WeylElement, bfs_orbit
 
 DEFAULT_MAX_MONOID_ORDER = 250_000
@@ -45,31 +47,36 @@ class FaceTransporter:
 class RennerMonoid:
     """A Renner monoid as a concrete set of partial injections.
 
-    ``elements`` is in closure-discovery order (deterministic); the partial
-    order of strata, faces, and all derived maps are precomputed.  The one
-    mutable field, ``_transporters``, is a memo filled on first use by
-    ``face_transporter``; its entries are deterministic functions of the
-    key, so a concurrent fill stores equal values and instances are safe to
-    share.
+    ``elements`` lists the strata in lattice order, so the zero comes first
+    and the units last, in ``group.elements`` order.  Each stratum is one
+    contiguous index range, ordered by domain face in face-orbit order, then
+    by canonical unit in (length, word) order.  ``canonical_units`` is
+    aligned with ``elements``, and ``transporters`` maps every face to the
+    shortest unit carrying its lattice face onto it.  Everything is fixed at
+    construction, so instances are safe to share.
     """
 
     def __init__(
         self,
         lattice: CrossSectionLattice,
         elements: tuple[PartialInjection, ...],
+        canonical_units: tuple[WeylElement, ...],
         generators: tuple[PartialInjection, ...],
         face_to_idem: dict[frozenset[int], CrossIdempotent],
         face_orbits: dict[int, tuple[frozenset[int], ...]],
         strata: dict[int, tuple[int, ...]],
+        transporters: dict[frozenset[int], FaceTransporter],
     ):
         group = lattice.group
         self.group = group
         self.lattice = lattice
         self.elements = elements
+        self.canonical_units = canonical_units
         self.generators = generators
         self.face_to_idem = face_to_idem
         self.face_orbits = face_orbits
         self.strata = strata
+        self.transporters = transporters
         self._index = {p: i for i, p in enumerate(elements)}
         degree = group.degree
         self.zero = PartialInjection.zero(degree)
@@ -82,7 +89,6 @@ class RennerMonoid:
             e.index: PartialInjection.partial_identity(degree, e.face_vertices)
             for e in lattice.idempotents
         }
-        self._transporters: dict[tuple[frozenset[int], frozenset[int]], FaceTransporter] = {}
 
     @property
     def order(self) -> int:
@@ -154,11 +160,13 @@ def build_renner(
     """Build the Renner monoid of the J-irreducible monoid with highest
     weight ``mu`` over the given Cartan type.
 
-    The element set is the multiplicative closure of the Weyl permutations of
-    the weight orbit together with the partial identities on the lattice
-    faces (the empty face contributing the zero map).  The cap is checked
-    against the closed-form order before the closure starts, and every
-    stratum of the closure must have its closed-form size.
+    Each stratum W e W is enumerated as the units restricted to the faces of
+    the orbit of e's face (the empty face giving the zero map), faces in
+    orbit order and units in (length, word) order.  The first unit to give a
+    map is its canonical unit; on e's own face, the first unit carrying it
+    onto a face is that face's transporter.  The cap is checked against the
+    closed-form order before any element is made, and every stratum must have
+    its closed-form size.
     """
     lattice = build_lattice(cartan, mu, max_group_order=max_group_order)
     check_monoid_cap(lattice, max_monoid_order)
@@ -169,75 +177,58 @@ def build_renner(
     idems = [PartialInjection.partial_identity(degree, e.face_vertices) for e in lattice]
     generators = tuple(dict.fromkeys(units + idems))  # drops repeats, keeps first-seen order
 
-    elems: dict[PartialInjection, int] = {}
-    predicted = lattice.monoid_order
-
-    def add(p: PartialInjection) -> bool:
-        if p in elems:
-            return False
-        if len(elems) >= predicted:
-            raise ConstructionError("the closure outgrows the closed-form order")
-        elems[p] = len(elems)
-        return True
-
-    add(PartialInjection.identity(degree))
-    for g in generators:
-        add(g)
-    frontier = list(elems)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in generators:
-                p = compose(a, g)
-                if add(p):
-                    nxt.append(p)
-        frontier = nxt
-    elements = tuple(elems)
-
+    elements: list[PartialInjection] = []
+    canonical_units: list[WeylElement] = []
     face_to_idem: dict[frozenset[int], CrossIdempotent] = {}
     face_orbits: dict[int, tuple[frozenset[int], ...]] = {}
+    strata: dict[int, tuple[int, ...]] = {}
+    transporters: dict[frozenset[int], FaceTransporter] = {}
     face_moves = [partial(group.apply_to_face, g) for g in group.generators]
-    for e in lattice.idempotents:
+    for e in lattice.idempotents:  # lattice order, the zero first
         orbit = bfs_orbit(e.face_vertices, face_moves)
-        for f in orbit:
-            if f in face_to_idem:
+        start = len(elements)
+        for face in orbit:
+            if face in face_to_idem:
                 raise ConstructionError("face orbits of distinct idempotents overlap")
-            face_to_idem[f] = e
+            face_to_idem[face] = e
+            keep = [i in face for i in range(degree)]
+            made: set[tuple[Optional[int], ...]] = set()
+            for w in group.elements:  # (length, word) order
+                targets = tuple([t if k else None for t, k in zip(w.perm, keep)])
+                if targets in made:
+                    continue
+                made.add(targets)
+                sigma = PartialInjection(targets)
+                elements.append(sigma)
+                canonical_units.append(w)
+                # The first unit with a given image of e's face makes a new map.
+                if face == e.face_vertices and sigma.image not in transporters:
+                    transporters[sigma.image] = FaceTransporter(sigma.image, face, w, sigma)
         face_orbits[e.index] = orbit
-
-    strata_lists: dict[int, list[int]] = {e.index: [] for e in lattice.idempotents}
-    for p, idx in elems.items():
-        e_dom = face_to_idem.get(p.domain)
-        e_img = face_to_idem.get(p.image)
-        if e_dom is None or e_img is None or e_dom is not e_img:
-            raise ConstructionError("element escapes the stratum decomposition")
-        strata_lists[e_dom.index].append(idx)
-    strata = {k: tuple(v) for k, v in strata_lists.items()}
-    # The top stratum's closed-form size is |W|, so this also pins the units.
-    for e in lattice.idempotents:
+        strata[e.index] = tuple(range(start, len(elements)))
+        # The top stratum's closed-form size is |W|, so this also pins the units.
         if len(strata[e.index]) != lattice.stratum_size(e):
             raise ConstructionError(f"stratum {e.label} differs from its closed-form size")
 
-    return RennerMonoid(lattice, elements, generators, face_to_idem, face_orbits, strata)
+    return RennerMonoid(
+        lattice, tuple(elements), tuple(canonical_units), generators,
+        face_to_idem, face_orbits, strata, transporters,
+    )
 
 
 def normal_form(monoid: RennerMonoid, sigma: PartialInjection) -> NormalForm:
     """Factor a nonzero element through its domain and range faces.
 
     The unit is the (length, word)-least one agreeing with sigma on its
-    domain, so the form is deterministic; the zero element is rejected.
+    domain, recorded when the build made sigma, so the form is
+    deterministic; the zero element is rejected.
     """
     if sigma == monoid.zero:
         raise ZeroElement("the zero element has no normal form")
     if sigma not in monoid:
         raise ValueError("element does not belong to the monoid")
-    dom = sigma.domain
-    targets = sigma.targets
-    for w in monoid.group.elements:  # (length, word) order
-        perm = w.perm
-        if all(perm[i] == targets[i] for i in dom):
-            return NormalForm(sigma.image, w, dom)
-    raise ConstructionError("no unit extends the element")
+    unit = monoid.canonical_units[monoid.index_of(sigma)]
+    return NormalForm(sigma.image, unit, sigma.domain)
 
 
 def reconstruct(monoid: RennerMonoid, form: NormalForm) -> PartialInjection:
@@ -264,28 +255,18 @@ def face_transporter(
     """The shortest unit carrying the lattice face ``base`` onto ``target``.
 
     The base must be the face of a lattice idempotent; the target must lie in
-    its orbit, else ``NotInOrbit``.  The minimal-length mover is unique, and
-    scanning units in (length, word) order finds it.
+    its orbit, else ``NotInOrbit``.  The minimal-length mover is unique; the
+    build recorded it as the first unit in (length, word) order to carry the
+    base onto the target.
     """
     base = frozenset(base)
     target = frozenset(target)
-    cached = monoid._transporters.get((base, target))
-    if cached is not None:
-        return cached
     owner = monoid.face_to_idem.get(base)
     if owner is None or owner.face_vertices != base:
         raise ValueError("base must be the face of a lattice idempotent")
-    if target not in monoid.face_orbits[owner.index]:
+    if monoid.face_to_idem.get(target) is not owner:
         raise NotInOrbit(f"face {sorted(target)} is not in the orbit of {sorted(base)}")
-    group = monoid.group
-    for w in group.elements:
-        if group.apply_to_face(w, base) == target:
-            transporter = FaceTransporter(
-                target, base, w, restrict(monoid.unit_for(w), base)
-            )
-            monoid._transporters[(base, target)] = transporter
-            return transporter
-    raise ConstructionError("orbit member has no mover")
+    return monoid.transporters[target]
 
 
 def project(monoid: RennerMonoid, sigma: PartialInjection) -> PartialInjection:
@@ -297,10 +278,8 @@ def project(monoid: RennerMonoid, sigma: PartialInjection) -> PartialInjection:
     """
     if sigma == monoid.zero:
         raise ZeroElement("the zero element has no projection")
-    e = monoid.stratum_of(sigma)
-    base = e.face_vertices
-    to_dom = face_transporter(monoid, base, sigma.domain)
-    to_rng = face_transporter(monoid, base, sigma.image)
+    to_dom = monoid.transporters[sigma.domain]
+    to_rng = monoid.transporters[sigma.image]
     return compose(inverse(to_rng.map), compose(sigma, to_dom.map))
 
 

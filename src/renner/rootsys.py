@@ -294,11 +294,12 @@ class Subgroup:
 
 
 def parabolic(group: WeylGroup, indices: Iterable[int]) -> Subgroup:
-    """Standard parabolic subgroup generated by the given simple reflections."""
+    """Standard parabolic subgroup generated by the given simple reflections:
+    the elements whose stored reduced word uses only letters of J (then every
+    reduced word does).  Needs a faithful realization, as ``build_lattice``
+    checks, so that the stored words are reduced in W itself."""
     J = frozenset(indices)
-    moves = [lambda w, g=group.generators[j]: group.mul(w, g) for j in sorted(J)]
-    members = tuple(sorted(bfs_orbit(group.identity, moves), key=WeylElement.canonical_key))
-    return Subgroup(group, J, members)
+    return Subgroup(group, J, tuple(w for w in group.elements if J.issuperset(w.word)))
 
 
 def left_cosets(sub: Subgroup) -> tuple[tuple[WeylElement, ...], dict[WeylElement, int]]:

@@ -1,14 +1,15 @@
 """Independent brute-force oracles used to pin expected values.
 
 Nothing here goes through the structured code paths under test: rook monoids
-are enumerated combinatorially, partitions are enumerated recursively, and
-the B2 reflection group is realized by explicit signed permutations of
-Euclidean coordinates.
+are enumerated combinatorially, partitions are enumerated recursively, the
+B2 reflection group is realized by explicit signed permutations of Euclidean
+coordinates, and generated monoids and subgroups are closed by brute-force
+multiplication.
 """
 
 from itertools import combinations, permutations
 
-from renner.partialinj import PartialInjection
+from renner.partialinj import PartialInjection, compose
 
 
 def all_partial_injections(n):
@@ -69,3 +70,46 @@ def s3_conjugacy_class_count():
     for x in elements:
         classes.add(frozenset(mul(mul(g, x), inv(g)) for g in elements))
     return len(classes)
+
+
+def generator_closure(generators):
+    """The monoid generated by the given partial injections: the identity
+    and every product of generators, by breadth-first right multiplication."""
+    start = PartialInjection.identity(generators[0].degree)
+    elements = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in generators:
+                p = compose(a, g)
+                if p not in elements:
+                    elements.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return elements
+
+
+def double_coset(units, idempotent):
+    """Every product u * e * v with u and v among the given units, written
+    as (u * e) * (e * v) so that each factor is taken once."""
+    left = {compose(u, idempotent) for u in units}
+    right = {compose(idempotent, v) for v in units}
+    return {compose(a, b) for a in left for b in right}
+
+
+def subgroup_closure(group, generators):
+    """The subgroup generated by the given elements, closed under
+    ``group.mul`` from the identity."""
+    members = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in generators:
+                p = group.mul(a, g)
+                if p not in members:
+                    members.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return members

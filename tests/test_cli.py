@@ -119,8 +119,8 @@ def test_missing_weight_and_j0_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def _no_closure(*args):
-    raise AssertionError("the closure ran")
+def _no_element(*args):
+    raise AssertionError("the monoid build ran")
 
 
 def test_cap_exceeded_exit_3(capsys, monkeypatch):
@@ -136,12 +136,12 @@ def test_cap_exceeded_exit_3(capsys, monkeypatch):
     )
     assert code == 3
     # Canonical G2 has |R| = 301: a cap of exactly |R| is allowed, one less
-    # is refused from the closed-form order, before the closure composes.
+    # is refused from the closed-form order, before any element is made.
     code, _, _ = run(
         capsys, "build", "--type", "G2", "--weight", "1,1", "--max-monoid-order", "301"
     )
     assert code == 0
-    monkeypatch.setattr("renner.monoid.compose", _no_closure)
+    monkeypatch.setattr("renner.monoid.PartialInjection", _no_element)
     for command in (["build"], ["counts"], ["reps"], ["classes", "--kind", "munn"]):
         code, out, err = run(
             capsys, *command, "--type", "G2", "--weight", "1,1",
@@ -150,12 +150,15 @@ def test_cap_exceeded_exit_3(capsys, monkeypatch):
         assert code == 3 and out == "" and "error:" in err, command
 
 
-def test_classes_semigroup_uses_the_pairwise_cap(capsys):
-    # 7057 elements: under the monoid cap, over the pairwise oracles' 2000.
-    code, out, err = run(
-        capsys, "classes", "--type", "B3", "--weight", "1,1,1", "--kind", "semigroup"
-    )
-    assert code == 3 and out == "" and "error:" in err
+def test_classes_semigroup_uses_the_pairwise_cap(capsys, monkeypatch):
+    # 7057 elements: under the monoid cap, over the pairwise oracles' 2000,
+    # so both pairwise kinds refuse before any element is made.
+    monkeypatch.setattr("renner.monoid.PartialInjection", _no_element)
+    for kind in ("semigroup", "action"):
+        code, out, err = run(
+            capsys, "classes", "--type", "B3", "--weight", "1,1,1", "--kind", kind
+        )
+        assert code == 3 and out == "" and "error:" in err, kind
 
 
 G2_COUNT_ROWS = [
@@ -199,7 +202,7 @@ total: 35
 
 @pytest.mark.parametrize("command,fmt", sorted(COUNTS_AND_REPS_OUTPUT))
 def test_counts_and_reps_never_build_the_monoid(capsys, monkeypatch, command, fmt):
-    monkeypatch.setattr("renner.cli.build_renner", _no_closure)
+    monkeypatch.setattr("renner.cli.build_renner", _no_element)
     code, out, _ = run(capsys, command, "--type", "G2", "--weight", "1,1", "--format", fmt)
     assert code == 0
     assert out == COUNTS_AND_REPS_OUTPUT[command, fmt]

@@ -124,10 +124,22 @@ def test_munn_members_share_subrank(basic_b2):
 
 
 def test_munn_equals_semigroup_and_action_partitions(basic_a2, canonical_a2):
+    def listing(classification):
+        return [
+            (rep, len(cls))
+            for rep, cls in zip(classification.representatives, classification.classes)
+        ]
+
     for R in (basic_a2, canonical_a2):
-        munn = munn_classes(R).partition()
-        assert munn == semigroup_conjugacy_classes(R).partition()
-        assert munn == action_conjugacy_classes(R).partition()
+        munn = munn_classes(R)
+        semigroup = semigroup_conjugacy_classes(R)
+        action = action_conjugacy_classes(R)
+        assert munn.partition() == semigroup.partition()
+        assert munn.partition() == action.partition()
+        # Each class's least element is its Munn representative, so the
+        # pairwise kinds list the classes in Munn order.
+        assert listing(semigroup) == listing(munn)
+        assert listing(action) == listing(munn)
 
 
 def test_sim_refines_munn_strictly(canonical_a2):

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from conftest import make_monoid
-from oracles import all_partial_injections
+from oracles import all_partial_injections, double_coset, generator_closure
 from renner import (
     NotInOrbit,
     PartialInjection,
@@ -65,7 +65,7 @@ def test_zero_and_one_present_and_absorbing(acceptance_monoids):
 
 def test_orders_match_stratum_size_formula(acceptance_monoids):
     # |WeW| = |W|^2 / (|W(e)| * |W_*(e)|), summed over the lattice plus the
-    # zero element: an independent count of the closure.
+    # zero element: an independent count of the built elements.
     for name, R in acceptance_monoids:
         lattice = R.lattice
         w = R.group.order
@@ -94,6 +94,17 @@ def test_strata_have_their_closed_form_sizes():
                 continue
             for e in R.lattice.idempotents:
                 assert len(R.strata[e.index]) == R.lattice.stratum_size(e), (letter, mu)
+            # The enumeration makes exactly the generator closure, and each
+            # stratum is the double coset W e W inside it.
+            units = [R.unit_for(w) for w in R.group.elements]
+            generators = [R.unit_for(g) for g in R.group.generators] + [
+                R.idempotent_map(e) for e in R.lattice.idempotents
+            ]
+            assert set(R.elements) == generator_closure(generators), (letter, mu)
+            for e in R.lattice.idempotents:
+                assert set(R.stratum_elements(e)) == double_coset(
+                    units, R.idempotent_map(e)
+                ), (letter, mu, e.label)
     assert skipped == ["B3(1, 1, 1)", "C3(1, 1, 1)"]
 
 
@@ -122,6 +133,12 @@ def test_closure_is_closed_under_product_and_inverse(acceptance_monoids):
 
 def test_strata_partition_elements(acceptance_monoids):
     for _, R in acceptance_monoids:
+        # Declared order: the zero first, then each stratum as one
+        # consecutive range in lattice order, the units last in group order.
+        assert R.elements[0] == R.zero
+        ranges = [R.strata[e.index] for e in R.lattice.idempotents]
+        assert [i for idxs in ranges for i in idxs] == list(range(R.order))
+        assert R.stratum_elements(R.lattice.one) == R.units
         seen = set()
         total = 0
         for e in R.lattice.idempotents:

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracles import s3_conjugacy_class_count, signed_orbit_b2
+from oracles import s3_conjugacy_class_count, signed_orbit_b2, subgroup_closure
 from renner import (
     InvalidType,
     SizeCapExceeded,
@@ -152,6 +152,22 @@ def test_parabolic_orders():
     a2 = generate_weyl(cartan_matrix("A", 2), (1, 1))
     s1 = parabolic(a2, (0,))
     assert set(s1.members) == {a2.identity, a2.generators[0]}
+    # Every supported type at its first fundamental weight (a faithful, small
+    # orbit) and every J: the members are the closure of the J generators,
+    # in (length, word) order.
+    for letter, rank in (
+        ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3),
+        ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("F", 4),
+        ("G", 2),
+    ):
+        group = generate_weyl(cartan_matrix(letter, rank), (1,) + (0,) * (rank - 1))
+        assert group.order == standard_weyl_order(letter, rank)
+        for size in range(rank + 1):
+            for J in itertools.combinations(range(rank), size):
+                closure = subgroup_closure(group, [group.generators[j] for j in J])
+                assert parabolic(group, J).members == tuple(
+                    sorted(closure, key=WeylElement.canonical_key)
+                ), (letter, rank, J)
 
 
 def test_min_coset_reps_counts():
