@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Hashable, Iterable, Optional
 
 from .crosslat import CrossIdempotent, CrossSectionLattice
 from .errors import ConstructionError, SizeCapExceeded
@@ -69,9 +69,11 @@ class OrbitReport:
 class ConjClassification:
     """A partition of the monoid with chosen representatives.
 
-    ``strata`` holds the lattice idempotent of each class for the kinds that
-    stay inside a stratum (sim) or share a subrank (munn); it is None per
-    class for the brute-force semigroup/action kinds.
+    Every kind lists its classes in the same way: each class is represented
+    by its least element in ``monoid.elements`` order, and the classes come
+    in the order of those least elements.  ``strata`` holds the stratum of
+    each representative for sim and munn (for munn that is the class's
+    subrank); it is None per class for the pairwise semigroup/action kinds.
     """
 
     kind: str
@@ -128,35 +130,33 @@ def _unit_conjugation_pairs(monoid: RennerMonoid, gens_only: bool = False):
 
 def sim_conjugacy_classes(monoid: RennerMonoid) -> ConjClassification:
     """Unit-conjugacy classes, one per centralizer orbit on stabilizer
-    cosets, with representatives u*e for the minimal coset representatives."""
-    classes = [frozenset({monoid.zero})]
-    reps = [monoid.zero]
-    strata: list[Optional[CrossIdempotent]] = [monoid.lattice.zero]
+    cosets: the class of u*e, for a minimal coset representative u, is its
+    conjugates by the units (the zero stratum's one orbit is the class of 0)."""
+    labels: list[Optional[int]] = [None] * monoid.order
     conj_pairs = _unit_conjugation_pairs(monoid)
-    for e in monoid.lattice.nonzero:
-        report = _coset_orbits(monoid.lattice, e)
+    orbit = 0
+    for e in monoid.lattice.idempotents:
         e_map = monoid.idempotent_map(e)
-        for u in report.orbit_reps:
+        for u in _coset_orbits(monoid.lattice, e).orbit_reps:
             rep = compose(monoid.unit_for(u), e_map)
-            cls = frozenset(
-                compose(wp, compose(rep, wq)) for wp, wq in conj_pairs
-            )
-            classes.append(cls)
-            reps.append(rep)
-            strata.append(e)
-    return ConjClassification("sim", tuple(classes), tuple(reps), tuple(strata))
+            for wp, wq in conj_pairs:
+                labels[monoid.index_of(compose(wp, compose(rep, wq)))] = orbit
+            orbit += 1
+    return _classes_by_label(monoid, labels, "sim")
 
 
-def _classes_from_unionfind(
-    monoid: RennerMonoid, uf: UnionFind, kind: str, with_strata: bool
+def _classes_by_label(
+    monoid: RennerMonoid, labels: Iterable[Hashable], kind: str, with_strata: bool = True
 ) -> ConjClassification:
-    # Keyed by root, each class's least index, so the classes come in the
-    # order of their least members.
-    groups: dict[int, list[int]] = {}
-    for idx in range(len(monoid.elements)):
-        groups.setdefault(uf.find(idx), []).append(idx)
-    classes = tuple(frozenset(monoid.elements[i] for i in idxs) for idxs in groups.values())
-    reps = tuple(monoid.elements[root] for root in groups)
+    """Group the element indices by their labels.  Indices are taken in
+    order, so the classes come in the order of their least members and each
+    class's least member is its representative."""
+    groups: dict[Hashable, list[int]] = {}
+    for idx, label in enumerate(labels):
+        groups.setdefault(label, []).append(idx)
+    elements = monoid.elements
+    classes = tuple(frozenset(elements[i] for i in idxs) for idxs in groups.values())
+    reps = tuple(elements[idxs[0]] for idxs in groups.values())
     if with_strata:
         strata = tuple(monoid.stratum_of(rep) for rep in reps)
     else:
@@ -172,52 +172,40 @@ def sim_classes_bruteforce(monoid: RennerMonoid) -> ConjClassification:
     for idx, p in enumerate(monoid.elements):
         for gp, gq in gen_pairs:
             uf.union(idx, monoid.index_of(compose(gp, compose(p, gq))))
-    return _classes_from_unionfind(monoid, uf, "sim", with_strata=True)
+    return _classes_by_label(monoid, map(uf.find, range(monoid.order)), "sim")
 
 
 def munn_classes(monoid: RennerMonoid) -> ConjClassification:
     """Partition by subrank and the conjugacy class of the projected
-    invertible part inside the realized lambda_star subgroup."""
+    invertible part inside the realized lambda_star subgroup.
+
+    The classes of each lambda_star parabolic are read off
+    ``group_conjugacy_classes`` and realized on the face of e as u*e.  The
+    least element of a class, its representative, is u*e for the least
+    member u of its group class.
+    """
     star_tables: dict[int, dict[PartialInjection, int]] = {}
-    star_reps: dict[tuple[int, int], PartialInjection] = {}
     for e in monoid.lattice.nonzero:
         star = monoid.lattice.star_group(e)
         e_map = monoid.idempotent_map(e)
-        members = [compose(monoid.unit_for(u), e_map) for u in star.members]
-        if len(set(members)) != len(members):
+        table = {
+            compose(monoid.unit_for(u), e_map): cid
+            for cid, cls in enumerate(group_conjugacy_classes(star))
+            for u in cls
+        }
+        if len(table) != star.order:
             raise ConstructionError("lambda_star subgroup does not embed on its face")
-        inverses = [inverse(p) for p in members]
-        table: dict[PartialInjection, int] = {}
-        count = 0
-        for p in members:  # (length, word) order of the underlying units
-            if p in table:
-                continue
-            cid = count
-            count += 1
-            for q in {compose(g, compose(p, gi)) for g, gi in zip(members, inverses)}:
-                table[q] = cid
-            star_reps[(e.index, cid)] = p
         star_tables[e.index] = table
 
-    buckets: dict[tuple[int, int], list[PartialInjection]] = {}
+    labels = []
     for sigma in monoid.elements:
         part = invertible_part(sigma)
         if part == monoid.zero:
-            key = (monoid.lattice.zero.index, 0)
+            labels.append((monoid.lattice.zero.index, 0))
         else:
             e = monoid.stratum_of(part)
-            key = (e.index, star_tables[e.index][project(monoid, part)])
-        buckets.setdefault(key, []).append(sigma)
-
-    classes = []
-    reps = []
-    strata = []
-    for key in sorted(buckets):
-        e = monoid.lattice.idempotents[key[0]]
-        classes.append(frozenset(buckets[key]))
-        reps.append(monoid.zero if e.is_zero else star_reps[key])
-        strata.append(e)
-    return ConjClassification("munn", tuple(classes), tuple(reps), tuple(strata))
+            labels.append((e.index, star_tables[e.index][project(monoid, part)]))
+    return _classes_by_label(monoid, labels, "munn")
 
 
 def semigroup_conjugacy_classes(
@@ -234,7 +222,7 @@ def semigroup_conjugacy_classes(
     for x in elements:
         for y in elements:
             uf.union(index(compose(x, y)), index(compose(y, x)))
-    return _classes_from_unionfind(monoid, uf, "semigroup", with_strata=False)
+    return _classes_by_label(monoid, map(uf.find, range(n)), "semigroup", with_strata=False)
 
 
 def action_conjugacy_classes(
@@ -256,7 +244,7 @@ def action_conjugacy_classes(
         for si, s in enumerate(elements):
             if needed <= s.domain:
                 uf.union(xi, index(compose(s, compose(x, inverses[si]))))
-    return _classes_from_unionfind(monoid, uf, "action", with_strata=False)
+    return _classes_by_label(monoid, map(uf.find, range(n)), "action", with_strata=False)
 
 
 def irreducible_rep_count(lattice: CrossSectionLattice) -> int:
@@ -264,8 +252,9 @@ def irreducible_rep_count(lattice: CrossSectionLattice) -> int:
     characteristic zero: conjugacy classes of the lambda_star parabolic
     summed over the lattice, the zero stratum contributing one.
 
-    Computed from the lattice alone (abstract parabolic subgroups), which
-    makes it an independent route against the element-level Munn count.
+    Computed from the lattice alone.  It shares ``group_conjugacy_classes``
+    with ``munn_classes``, so the independent checks on the Munn partition
+    are the semigroup/action closures and the rook-monoid count formula.
     """
     total = 1
     for e in lattice.nonzero:

@@ -147,9 +147,10 @@ class CrossSectionLattice:
     nonzero idempotents is lambda_star inclusion, verified at build time to
     agree with face inclusion, which is the idempotent-product order.
 
-    ``_subgroup_cache`` is a memo filled on first use.  Its entries are
-    deterministic functions of the key, so a concurrent fill stores equal
-    values and the lattice is safe to share.
+    The parabolic subgroups the accessors serve (the whole group, the
+    trivial group, and each idempotent's lambda_star, lambda_sub and their
+    union) are built at construction, so the lattice is fixed from then on
+    and safe to share.
     """
 
     def __init__(
@@ -164,7 +165,10 @@ class CrossSectionLattice:
         self.zero = idempotents[0]
         self.min_nonzero = idempotents[1]
         self.one = idempotents[-1]
-        self._subgroup_cache: dict[frozenset[int], Subgroup] = {}
+        index_sets = [frozenset(range(group.cartan.rank)), frozenset()]
+        for e in self.nonzero:
+            index_sets += [e.lambda_star, e.lambda_sub, e.lambda_set]
+        self._parabolics = {J: parabolic(group, J) for J in dict.fromkeys(index_sets)}
         self._verify()
 
     @property
@@ -186,10 +190,7 @@ class CrossSectionLattice:
         return e.lambda_star <= f.lambda_star
 
     def _parabolic(self, indices: Iterable[int]) -> Subgroup:
-        key = frozenset(indices)
-        if key not in self._subgroup_cache:
-            self._subgroup_cache[key] = parabolic(self.group, key)
-        return self._subgroup_cache[key]
+        return self._parabolics[frozenset(indices)]
 
     def centralizer(self, e: CrossIdempotent) -> Subgroup:
         """The units commuting with e; the whole group for e = 0."""

@@ -65,6 +65,8 @@ class PartialInjection:
     def partial_identity(cls, degree: int, fixed: Iterable[int]) -> "PartialInjection":
         """Identity on ``fixed``, undefined elsewhere."""
         keep = set(fixed)
+        if not keep <= set(range(degree)):
+            raise ValueError("fixed points must lie in range")
         return cls(tuple(i if i in keep else None for i in range(degree)))
 
     @classmethod
@@ -73,6 +75,8 @@ class PartialInjection:
     ) -> "PartialInjection":
         t: list[Optional[int]] = [None] * degree
         for s, d in pairs:
+            if not 0 <= s < degree:
+                raise ValueError(f"source {s} out of range")
             if t[s] is not None:
                 raise ValueError(f"duplicate source {s}")
             t[s] = d

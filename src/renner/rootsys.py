@@ -329,18 +329,22 @@ def min_coset_reps(group: WeylGroup, indices: Iterable[int]) -> tuple[WeylElemen
 
 
 def group_conjugacy_classes(sub: Subgroup) -> tuple[tuple[WeylElement, ...], ...]:
-    """Conjugation orbits of the subgroup acting on itself.
+    """Conjugation orbits of the subgroup acting on itself, each closed by
+    ``bfs_orbit`` under conjugation by the subgroup's simple generators.
 
     Each class is sorted by (length, word) and classes are ordered by their
-    least member, so ``cls[0]`` is the canonical representative.
+    least member, so ``cls[0]`` is the canonical representative.  This is
+    the one conjugacy-class routine for Weyl subgroups: the Munn classes and
+    the representation count both read it.
     """
     group = sub.parent
+    moves = [partial(group.conjugate, group.generators[j]) for j in sorted(sub.generator_indices)]
     seen: set[WeylElement] = set()
     classes = []
     for x in sub.members:
         if x in seen:
             continue
-        orbit = {group.conjugate(g, x) for g in sub.members}
-        seen |= orbit
+        orbit = bfs_orbit(x, moves)
+        seen.update(orbit)
         classes.append(tuple(sorted(orbit, key=WeylElement.canonical_key)))
     return tuple(classes)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +33,16 @@ def test_rook_count(capsys):
     code, out, _ = run(capsys, "rook-count", "4", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"munn_classes": 12, "points": 4}
+
+
+def test_readme_counts_example(capsys):
+    # The worked example in the README is the command's exact output.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("$ renner counts --type G2 --weight 1,1\n", 1)[1]
+    expected = block.split("```", 1)[0]
+    code, out, _ = run(capsys, "counts", "--type", "G2", "--weight", "1,1")
+    assert code == 0
+    assert out == expected
 
 
 def test_counts_total_matches_sim_classes(capsys):

@@ -34,10 +34,21 @@ def test_count_matches_bruteforce(acceptance_monoids):
         assert count_sim_classes(R.lattice) == sim_classes_bruteforce(R).class_count, name
 
 
-def test_sim_partition_matches_bruteforce(basic_b2):
-    structured = sim_conjugacy_classes(basic_b2)
-    brute = sim_classes_bruteforce(basic_b2)
-    assert structured.partition() == brute.partition()
+def test_sim_partition_matches_bruteforce(basic_b2, canonical_a2):
+    def listing(classification):
+        return [
+            (rep, len(cls), e)
+            for rep, cls, e in zip(
+                classification.representatives, classification.classes, classification.strata
+            )
+        ]
+
+    for R in (basic_b2, canonical_a2):
+        structured = sim_conjugacy_classes(R)
+        brute = sim_classes_bruteforce(R)
+        assert structured.partition() == brute.partition()
+        # Both list the classes by least element, represented by it.
+        assert listing(structured) == listing(brute)
 
 
 def test_classifications_partition_the_monoid(basic_a2):
@@ -53,6 +64,11 @@ def test_classifications_partition_the_monoid(basic_a2):
         assert len(set().union(*c.classes)) == basic_a2.order
         for rep, cls in zip(c.representatives, c.classes):
             assert rep in cls
+        # Each class is represented by its least element, and the classes
+        # come in the order of those least elements.
+        firsts = [min(map(basic_a2.index_of, cls)) for cls in c.classes]
+        assert [basic_a2.index_of(rep) for rep in c.representatives] == firsts
+        assert firsts == sorted(firsts)
 
 
 def test_zero_class_membership(basic_b2):

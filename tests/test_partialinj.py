@@ -28,6 +28,14 @@ def test_constructor_validation():
         PartialInjection((3, None, None))
     with pytest.raises(ValueError):
         PartialInjection.from_pairs(3, [(0, 1), (0, 2)])
+    # Sources out of range are rejected, not wrapped, dropped or left to
+    # an IndexError.
+    with pytest.raises(ValueError):
+        PartialInjection.from_pairs(3, [(-1, 0)])
+    with pytest.raises(ValueError):
+        PartialInjection.from_pairs(3, [(5, 0)])
+    with pytest.raises(ValueError):
+        PartialInjection.partial_identity(3, [0, 7])
 
 
 def test_identity_and_zero_laws():

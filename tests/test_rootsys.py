@@ -207,12 +207,30 @@ def test_min_coset_reps_tile_the_group():
         assert all(len(fs) == 1 for fs in factorizations.values())
 
 
+# Published class counts of every supported full Weyl group.
+WEYL_CLASS_COUNTS = {
+    ("A", 1): 2, ("A", 2): 3, ("A", 3): 5, ("A", 4): 7, ("A", 5): 11,
+    ("B", 2): 5, ("B", 3): 10, ("B", 4): 20,
+    ("C", 2): 5, ("C", 3): 10, ("C", 4): 20,
+    ("D", 3): 5, ("D", 4): 13,
+    ("F", 4): 25, ("G", 2): 6,
+}
+
+
 def test_conjugacy_classes_counts():
     a2 = generate_weyl(cartan_matrix("A", 2), (1, 1))
     assert len(group_conjugacy_classes(parabolic(a2, ()))) == 1
     assert len(group_conjugacy_classes(parabolic(a2, (0, 1)))) == s3_conjugacy_class_count()
     g2 = generate_weyl(cartan_matrix("G", 2), (1, 1))
     assert len(group_conjugacy_classes(parabolic(g2, (0, 1)))) == 6
+    # Each full group realized on the orbit of the first fundamental weight,
+    # which is faithful for every supported type.
+    for (letter, rank), count in WEYL_CLASS_COUNTS.items():
+        group = generate_weyl(cartan_matrix(letter, rank), (1,) + (0,) * (rank - 1))
+        assert group.order == standard_weyl_order(letter, rank), (letter, rank)
+        classes = group_conjugacy_classes(parabolic(group, range(rank)))
+        assert len(classes) == count, (letter, rank)
+        assert sum(len(cls) for cls in classes) == group.order, (letter, rank)
 
 
 def test_conjugacy_class_sizes_sum():
