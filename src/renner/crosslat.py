@@ -4,8 +4,8 @@ The lattice is determined by the zero pattern J0 of a dominant weight: the
 nonzero idempotents correspond to the subsets of the simple roots with no
 connected Dynkin component inside J0, ordered by inclusion, below a top
 element (the monoid identity) and above a zero.  Each idempotent carries its
-type-map data (lambda_star, lambda_sub) and a face: the orbit of the seed
-weight under the parabolic subgroup generated by lambda_star.
+type-map data (lambda_star, lambda_sub); its faces on the weight orbit belong
+to the monoid.
 """
 
 from __future__ import annotations
@@ -62,12 +62,9 @@ class DominantWeightSpec:
 
 @dataclass(frozen=True)
 class CrossIdempotent:
-    """An idempotent of the cross-section lattice.
-
-    For nonzero idempotents the face is the orbit of the seed weight (vertex
-    0) under the parabolic subgroup generated by lambda_star.  The zero
-    idempotent has empty lambda data and empty face; the subgroup accessors
-    on the lattice apply the usual conventions for it.
+    """An idempotent of the cross-section lattice, given by its type-map
+    data.  The zero idempotent has empty lambda data; the subgroup
+    accessors on the lattice apply the usual conventions for it.
     """
 
     index: int
@@ -75,7 +72,6 @@ class CrossIdempotent:
     lambda_star: frozenset[int]
     lambda_sub: frozenset[int]
     is_zero: bool
-    face_vertices: frozenset[int]
 
     @property
     def lambda_set(self) -> frozenset[int]:
@@ -134,18 +130,13 @@ def _face_label(lambda_star: frozenset[int], rank: int) -> str:
     return "e_" + "".join(str(i + 1) for i in sorted(lambda_star))
 
 
-def _seed_orbit(sub: Subgroup) -> frozenset[int]:
-    """The orbit of the seed weight (vertex 0) under a subgroup."""
-    return frozenset(w.perm[0] for w in sub.members)
-
-
 class CrossSectionLattice:
     """Idempotent cross-section of a J-irreducible Renner monoid.
 
     ``idempotents`` starts with the zero, then the admissible sets ordered by
     (size, indices); the top (the monoid identity) comes last.  The order on
-    nonzero idempotents is lambda_star inclusion, verified at build time to
-    agree with face inclusion, which is the idempotent-product order.
+    nonzero idempotents is lambda_star inclusion (``build_renner`` checks
+    that it agrees with face inclusion, the idempotent-product order).
 
     The parabolic subgroups the accessors serve (the whole group, the
     trivial group, and each idempotent's lambda_star, lambda_sub and their
@@ -223,43 +214,23 @@ class CrossSectionLattice:
         return sum(self.stratum_size(e) for e in self.idempotents)
 
     def _verify(self) -> None:
-        group = self.group
         j0 = self.weight_spec.j0
-        faces: dict[frozenset[int], CrossIdempotent] = {}
-        for e in self.idempotents:
-            if e.face_vertices in faces:
-                raise ConstructionError(f"duplicate face for {e.label}")
-            faces[e.face_vertices] = e
         for e in self.nonzero:
             if e.lambda_star & e.lambda_sub:
                 raise ConstructionError(f"lambda data overlaps for {e.label}")
             if not e.lambda_sub <= j0:
                 raise ConstructionError(f"lambda_sub escapes the zero pattern for {e.label}")
-            # The lambda_sub generators fix the seed, so the lambda orbit must
-            # collapse to the lambda_star orbit.
-            if _seed_orbit(self._parabolic(e.lambda_set)) != e.face_vertices:
-                raise ConstructionError(f"face of {e.label} moves under its stabilizer")
-        for e in self.nonzero:
-            for f in self.nonzero:
-                if (e.lambda_star <= f.lambda_star) != (e.face_vertices <= f.face_vertices):
-                    raise ConstructionError(
-                        "lattice order mismatch between lambda_star and face inclusion"
-                    )
-        if self.one.face_vertices != frozenset(range(group.degree)):
-            raise ConstructionError("top idempotent face is not the whole vertex set")
 
 
 def cross_section_lattice(
     group: WeylGroup, weight_spec: DominantWeightSpec
 ) -> CrossSectionLattice:
-    """Build the cross-section lattice over a group generated from the given
-    weight (the weight must be vertex 0 of the group's orbit)."""
+    """Build the cross-section lattice of the weight's zero pattern over a
+    faithful realization of its Weyl group (on any orbit)."""
     cartan = group.cartan
-    if weight_spec.mu != group.vertex_orbit[0]:
-        raise ValueError("group must be generated with the weight as its orbit seed")
     j0 = weight_spec.j0
     rank = cartan.rank
-    idems = [CrossIdempotent(0, "0", frozenset(), frozenset(), True, frozenset())]
+    idems = [CrossIdempotent(0, "0", frozenset(), frozenset(), True)]
     for size in range(rank + 1):
         for chosen in combinations(range(rank), size):
             lam_star = frozenset(chosen)
@@ -272,7 +243,6 @@ def cross_section_lattice(
                     lambda_star=lam_star,
                     lambda_sub=lambda_sub_star(lam_star, j0, cartan),
                     is_zero=False,
-                    face_vertices=_seed_orbit(parabolic(group, lam_star)),
                 )
             )
     return CrossSectionLattice(group, weight_spec, tuple(idems))
@@ -284,16 +254,19 @@ def build_lattice(
     """The cross-section lattice of the J-irreducible monoid with highest
     weight ``mu`` over the given Cartan type.
 
-    Generates the Weyl group on the orbit of ``mu`` (a weight of the wrong
-    length is a ``ValueError`` there) and checks that it acts faithfully, so
-    every count read off the lattice is the monoid's.
+    Generates the Weyl group on the orbit of the first fundamental weight
+    (at most 24 points; the lattice needs only W and J0) and checks that it
+    acts faithfully, so every count read off the lattice is the monoid's.
     """
     spec = DominantWeightSpec(tuple(mu))
-    group = generate_weyl(cartan, spec.mu, max_order=max_group_order)
+    if len(spec.mu) != cartan.rank:
+        raise ValueError(f"weight has length {len(spec.mu)}, expected rank {cartan.rank}")
+    omega1 = (1,) + (0,) * (cartan.rank - 1)
+    group = generate_weyl(cartan, omega1, max_order=max_group_order)
     expected = standard_weyl_order(cartan.letter, cartan.rank)
     if group.order != expected:
         raise FaithfulnessError(
-            f"Weyl group acts unfaithfully on the orbit of {spec.mu}: "
+            f"Weyl group acts unfaithfully on the orbit of {omega1}: "
             f"closure has order {group.order}, expected {expected}"
         )
     return cross_section_lattice(group, spec)

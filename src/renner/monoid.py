@@ -18,7 +18,8 @@ from typing import Iterable, Optional, Sequence
 from .crosslat import CrossIdempotent, CrossSectionLattice, build_lattice
 from .errors import ConstructionError, NotInOrbit, SizeCapExceeded, ZeroElement
 from .partialinj import PartialInjection, compose, inverse, stable_domain
-from .rootsys import DEFAULT_MAX_GROUP_ORDER, CartanMatrix, WeylElement, bfs_orbit
+from .rootsys import DEFAULT_MAX_GROUP_ORDER, CartanMatrix, Weight, WeylElement, bfs_orbit
+from .rootsys import generate_weyl, parabolic
 
 DEFAULT_MAX_MONOID_ORDER = 250_000
 
@@ -45,7 +46,9 @@ class FaceTransporter:
 
 
 class RennerMonoid:
-    """A Renner monoid as a concrete set of partial injections.
+    """A Renner monoid as a concrete set of partial injections on the
+    weight orbit ``vertices``; ``unit_for`` realizes each element of the
+    lattice's Weyl group ``group`` as a unit there.
 
     ``elements`` lists the strata in lattice order, so the zero comes first
     and the units last, in ``group.elements`` order.  Each stratum is one
@@ -59,10 +62,9 @@ class RennerMonoid:
     def __init__(
         self,
         lattice: CrossSectionLattice,
+        vertices: tuple[Weight, ...],
         elements: tuple[PartialInjection, ...],
         canonical_units: tuple[WeylElement, ...],
-        generators: tuple[PartialInjection, ...],
-        face_to_idem: dict[frozenset[int], CrossIdempotent],
         face_orbits: dict[int, tuple[frozenset[int], ...]],
         strata: dict[int, tuple[int, ...]],
         transporters: dict[frozenset[int], FaceTransporter],
@@ -70,25 +72,27 @@ class RennerMonoid:
         group = lattice.group
         self.group = group
         self.lattice = lattice
+        self.vertices = vertices
         self.elements = elements
         self.canonical_units = canonical_units
-        self.generators = generators
-        self.face_to_idem = face_to_idem
         self.face_orbits = face_orbits
+        self.face_to_idem = {f: e for e in lattice for f in face_orbits[e.index]}
         self.strata = strata
         self.transporters = transporters
         self._index = {p: i for i, p in enumerate(elements)}
-        degree = group.degree
+        degree = len(vertices)
         self.zero = PartialInjection.zero(degree)
         self.one = PartialInjection.identity(degree)
-        self._unit_by_perm = {w.perm: PartialInjection(w.perm) for w in group.elements}
-        self._weyl_by_unit = {
-            self._unit_by_perm[w.perm]: w for w in group.elements
-        }
+        self.units = tuple(elements[i] for i in strata[lattice.one.index])
+        self._unit_by_perm = {w.perm: u for w, u in zip(group.elements, self.units)}
+        self._weyl_by_unit = dict(zip(self.units, group.elements))
         self._idem_maps = {
-            e.index: PartialInjection.partial_identity(degree, e.face_vertices)
+            e.index: PartialInjection.partial_identity(degree, self.face(e))
             for e in lattice.idempotents
         }
+        unit_gens = [self.unit_for(g) for g in group.generators]
+        # Drops repeats, keeps first-seen order.
+        self.generators = tuple(dict.fromkeys(unit_gens + list(self._idem_maps.values())))
 
     @property
     def order(self) -> int:
@@ -96,7 +100,7 @@ class RennerMonoid:
 
     @property
     def degree(self) -> int:
-        return self.group.degree
+        return len(self.vertices)
 
     def __iter__(self):
         return iter(self.elements)
@@ -107,10 +111,10 @@ class RennerMonoid:
     def index_of(self, sigma: PartialInjection) -> int:
         return self._index[sigma]
 
-    @property
-    def units(self) -> tuple[PartialInjection, ...]:
-        """Unit elements aligned with ``group.elements``."""
-        return tuple(self._unit_by_perm[w.perm] for w in self.group.elements)
+    def face(self, e: CrossIdempotent) -> frozenset[int]:
+        """The orbit of the weight (vertex 0) under e's lambda_star
+        parabolic; empty for e = 0."""
+        return self.face_orbits[e.index][0]
 
     def unit_for(self, w: WeylElement) -> PartialInjection:
         return self._unit_by_perm[w.perm]
@@ -160,41 +164,63 @@ def build_renner(
     """Build the Renner monoid of the J-irreducible monoid with highest
     weight ``mu`` over the given Cartan type.
 
+    The Weyl group is realized again on the orbit of ``mu``, element i on
+    element i of the lattice's group (both are in (length, lex-least word)
+    order), and each face is read off the lambda_star parabolic there.
+
     Each stratum W e W is enumerated as the units restricted to the faces of
     the orbit of e's face (the empty face giving the zero map), faces in
     orbit order and units in (length, word) order.  The first unit to give a
     map is its canonical unit; on e's own face, the first unit carrying it
     onto a face is that face's transporter.  The cap is checked against the
-    closed-form order before any element is made, and every stratum must have
-    its closed-form size.
+    closed-form order before any element is made, face inclusion must be
+    the lattice order, and every stratum must have its closed-form size.
     """
     lattice = build_lattice(cartan, mu, max_group_order=max_group_order)
     check_monoid_cap(lattice, max_monoid_order)
     group = lattice.group
-    degree = group.degree
+    on_weight = generate_weyl(cartan, lattice.weight_spec.mu, max_order=max_group_order)
+    if [w.word for w in on_weight.elements] != [w.word for w in group.elements]:
+        raise ConstructionError("the weight orbit lists the Weyl group in another order")
+    degree = on_weight.degree
 
-    units = [PartialInjection(g.perm) for g in group.generators]
-    idems = [PartialInjection.partial_identity(degree, e.face_vertices) for e in lattice]
-    generators = tuple(dict.fromkeys(units + idems))  # drops repeats, keeps first-seen order
+    def seed_orbit(indices: frozenset[int]) -> frozenset[int]:
+        return frozenset(w.perm[0] for w in parabolic(on_weight, indices).members)
+
+    faces = {e: seed_orbit(e.lambda_star) for e in lattice.nonzero}
+    for e, face in faces.items():
+        # The lambda_sub generators fix the weight, so the lambda orbit must
+        # collapse to the lambda_star orbit.
+        if seed_orbit(e.lambda_set) != face:
+            raise ConstructionError(f"face of {e.label} moves under its stabilizer")
+        for f, other in faces.items():
+            if (e.lambda_star <= f.lambda_star) != (face <= other):
+                raise ConstructionError(
+                    "lattice order mismatch between lambda_star and face inclusion"
+                )
+    if faces[lattice.one] != frozenset(range(degree)):
+        raise ConstructionError("top idempotent face is not the whole vertex set")
+    faces[lattice.zero] = frozenset()
 
     elements: list[PartialInjection] = []
     canonical_units: list[WeylElement] = []
-    face_to_idem: dict[frozenset[int], CrossIdempotent] = {}
+    seen_faces: set[frozenset[int]] = set()
     face_orbits: dict[int, tuple[frozenset[int], ...]] = {}
     strata: dict[int, tuple[int, ...]] = {}
     transporters: dict[frozenset[int], FaceTransporter] = {}
-    face_moves = [partial(group.apply_to_face, g) for g in group.generators]
+    face_moves = [partial(_move_face, g.perm) for g in on_weight.generators]
     for e in lattice.idempotents:  # lattice order, the zero first
-        orbit = bfs_orbit(e.face_vertices, face_moves)
+        base = faces[e]
+        orbit = bfs_orbit(base, face_moves)
         start = len(elements)
         for face in orbit:
-            if face in face_to_idem:
+            if face in seen_faces:
                 raise ConstructionError("face orbits of distinct idempotents overlap")
-            face_to_idem[face] = e
+            seen_faces.add(face)
             keep = [i in face for i in range(degree)]
             made: set[tuple[Optional[int], ...]] = set()
-            for w in group.elements:  # (length, word) order
-                targets = tuple([t if k else None for t, k in zip(w.perm, keep)])
+            for w, u in zip(group.elements, on_weight.elements):  # (length, word) order
+                targets = tuple([t if k else None for t, k in zip(u.perm, keep)])
                 if targets in made:
                     continue
                 made.add(targets)
@@ -202,7 +228,7 @@ def build_renner(
                 elements.append(sigma)
                 canonical_units.append(w)
                 # The first unit with a given image of e's face makes a new map.
-                if face == e.face_vertices and sigma.image not in transporters:
+                if face == base and sigma.image not in transporters:
                     transporters[sigma.image] = FaceTransporter(sigma.image, face, w, sigma)
         face_orbits[e.index] = orbit
         strata[e.index] = tuple(range(start, len(elements)))
@@ -211,9 +237,13 @@ def build_renner(
             raise ConstructionError(f"stratum {e.label} differs from its closed-form size")
 
     return RennerMonoid(
-        lattice, tuple(elements), tuple(canonical_units), generators,
-        face_to_idem, face_orbits, strata, transporters,
+        lattice, on_weight.vertex_orbit, tuple(elements), tuple(canonical_units),
+        face_orbits, strata, transporters,
     )
+
+
+def _move_face(perm: tuple[int, ...], face: frozenset[int]) -> frozenset[int]:
+    return frozenset(perm[i] for i in face)
 
 
 def normal_form(monoid: RennerMonoid, sigma: PartialInjection) -> NormalForm:
@@ -242,6 +272,8 @@ def reconstruct(monoid: RennerMonoid, form: NormalForm) -> PartialInjection:
 def subrank(monoid: RennerMonoid, sigma: PartialInjection) -> CrossIdempotent:
     """The lattice idempotent whose stratum holds the invertible part of
     sigma; the zero idempotent when the stable domain is empty."""
+    if sigma not in monoid:
+        raise ValueError("element does not belong to the monoid")
     face = stable_domain(sigma)
     e = monoid.face_to_idem.get(face)
     if e is None:
@@ -262,7 +294,7 @@ def face_transporter(
     base = frozenset(base)
     target = frozenset(target)
     owner = monoid.face_to_idem.get(base)
-    if owner is None or owner.face_vertices != base:
+    if owner is None or monoid.face(owner) != base:
         raise ValueError("base must be the face of a lattice idempotent")
     if monoid.face_to_idem.get(target) is not owner:
         raise NotInOrbit(f"face {sorted(target)} is not in the orbit of {sorted(base)}")
@@ -278,6 +310,8 @@ def project(monoid: RennerMonoid, sigma: PartialInjection) -> PartialInjection:
     """
     if sigma == monoid.zero:
         raise ZeroElement("the zero element has no projection")
+    if sigma not in monoid:
+        raise ValueError("element does not belong to the monoid")
     to_dom = monoid.transporters[sigma.domain]
     to_rng = monoid.transporters[sigma.image]
     return compose(inverse(to_rng.map), compose(sigma, to_dom.map))
@@ -292,7 +326,7 @@ def element_label(monoid: RennerMonoid, sigma: PartialInjection) -> str:
     if len(sigma.domain) == monoid.degree:
         return word
     idem = monoid.face_to_idem[sigma.domain]
-    if sigma.domain == idem.face_vertices:
+    if sigma.domain == monoid.face(idem):
         face = idem.label
     else:
         face = "e[" + ",".join(str(i) for i in sorted(sigma.domain)) + "]"
@@ -302,7 +336,7 @@ def element_label(monoid: RennerMonoid, sigma: PartialInjection) -> str:
 def monoid_to_json(monoid: RennerMonoid) -> dict:
     """Export: vertices, generators, elements (pair lists), and strata."""
     return {
-        "vertices": [list(v) for v in monoid.group.vertex_orbit],
+        "vertices": [list(v) for v in monoid.vertices],
         "generators": [g.to_pairs() for g in monoid.generators],
         "elements": [p.to_pairs() for p in monoid.elements],
         "strata": {

@@ -122,6 +122,8 @@ def natural_leq(sigma: PartialInjection, tau: PartialInjection) -> bool:
     >>> natural_leq(PartialInjection.zero(3), PartialInjection.identity(3))
     True
     """
+    if sigma.degree != tau.degree:
+        raise ValueError("cannot compare maps of different degrees")
     return all(
         tau.targets[i] == t for i, t in enumerate(sigma.targets) if t is not None
     )
@@ -130,6 +132,8 @@ def natural_leq(sigma: PartialInjection, tau: PartialInjection) -> bool:
 def restrict(sigma: PartialInjection, keep: Iterable[int]) -> PartialInjection:
     """Forget every source outside ``keep``; values are unchanged."""
     kept = set(keep)
+    if not all(0 <= i < sigma.degree for i in kept):
+        raise ValueError("keep points must lie in range")
     return PartialInjection(
         tuple(t if i in kept else None for i, t in enumerate(sigma.targets))
     )

@@ -158,8 +158,6 @@ def weight_orbit(
 ) -> tuple[Weight, ...]:
     """Orbit of ``seed`` under the Weyl group, in BFS order (seed first)."""
     start = tuple(seed)
-    if len(start) != cartan.rank:
-        raise ValueError(f"seed has length {len(start)}, expected rank {cartan.rank}")
     moves = [partial(reflect, cartan, i) for i in range(cartan.rank)]
     return bfs_orbit(start, moves, max_size=max_size, what="weight orbit")
 
@@ -234,9 +232,6 @@ class WeylGroup:
             el = self.mul(el, self.generators[i])
         return el
 
-    def apply_to_face(self, w: WeylElement, face: Iterable[int]) -> frozenset[int]:
-        return frozenset(w.perm[i] for i in face)
-
 
 def generate_weyl(
     cartan: CartanMatrix, seed: Sequence[int], max_order: int = DEFAULT_MAX_GROUP_ORDER
@@ -247,6 +242,8 @@ def generate_weyl(
     lex-least reduced word: layers are expanded in discovery order with
     generators tried in increasing index, so within a layer candidates appear
     in lex order and the first word reaching an element is its minimum.
+    That order, (length, lex-least word), is a property of the Coxeter
+    group, so two faithful realizations list the same words index by index.
 
     If the seed orbit is not regular the result is the image of the Weyl
     group in the symmetric group of the orbit, which may be a proper

@@ -227,9 +227,11 @@ def _check_invertible_part_commutation(name, R, failures):
 def _check_transporters(name, R, failures):
     group = R.group
     for e in R.lattice.nonzero:
-        base = e.face_vertices
+        base = R.face(e)
         for target in R.face_orbits[e.index]:
-            movers = [w for w in group.elements if group.apply_to_face(w, base) == target]
+            movers = [
+                w for w in group.elements if frozenset(map(R.unit_for(w), base)) == target
+            ]
             least = min(w.length for w in movers)
             shortest = [w for w in movers if w.length == least]
             if len(shortest) != 1:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from renner import rootsys
 from renner.cli import main
 
 
@@ -264,3 +265,38 @@ def test_lattice_csv_and_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert [e["label"] for e in doc["idempotents"]] == ["0", "e_0", "e_1", "e_2", "1"]
+
+
+def test_lattice_commands_never_generate_the_weight_orbit(capsys, monkeypatch):
+    # lattice, counts and reps need only W and J0, so on canonical F4 no orbit
+    # is larger than the 24 points of the first fundamental weight (the
+    # weight orbit has 1152).
+    sizes = []
+    original = rootsys.weight_orbit
+
+    def recording(*args, **kwargs):
+        orbit = original(*args, **kwargs)
+        sizes.append(len(orbit))
+        return orbit
+
+    monkeypatch.setattr("renner.rootsys.weight_orbit", recording)
+    for command in ("lattice", "counts", "reps"):
+        code, _, _ = run(
+            capsys, command, "--type", "F4", "--weight", "1,1,1,1",
+            "--max-monoid-order", "1000000000",
+        )
+        assert code == 0, command
+    assert sizes and max(sizes) <= 24
+
+
+@pytest.mark.parametrize(
+    "typ,total,reps",
+    [("F4", 5814, 90), ("A5", 5424, 161), ("B4", 2103, 84), ("D4", 1044, 67)],
+)
+def test_canonical_counts_and_reps_above_the_monoid_cap(capsys, typ, total, reps):
+    config = ("--type", typ, "--weight", ",".join("1" * int(typ[1])))
+    cap = ("--max-monoid-order", "1000000000")
+    code, out, _ = run(capsys, "counts", *config, *cap, "--format", "json")
+    assert code == 0 and json.loads(out)["total"] == total
+    code, out, _ = run(capsys, "reps", *config, *cap)
+    assert code == 0 and out == f"{reps}\n"

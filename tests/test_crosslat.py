@@ -97,7 +97,7 @@ def test_g2_canonical_centralizers():
 def test_zero_conventions():
     _, lattice = _lattice("A", 2, (1, 1))
     zero = lattice.zero
-    assert zero.is_zero and zero.face_vertices == frozenset()
+    assert zero.is_zero
     assert lattice.centralizer(zero).order == 6
     assert lattice.stabilizer(zero).order == 6
     assert lattice.star_group(zero).order == 1
@@ -128,14 +128,3 @@ def test_lattice_order():
     assert not lattice.leq(e1, e2) and not lattice.leq(e1, e0)
     assert all(lattice.leq(lattice.min_nonzero, f) for f in lattice.nonzero)
 
-
-def test_face_sizes_first_basic_a2():
-    _, lattice = _lattice("A", 2, (1, 0))
-    assert [len(e.face_vertices) for e in lattice.idempotents] == [0, 1, 2, 3]
-
-
-def test_lattice_requires_matching_seed():
-    cartan = cartan_matrix("A", 2)
-    group = generate_weyl(cartan, (1, 1))
-    with pytest.raises(ValueError):
-        cross_section_lattice(group, DominantWeightSpec((1, 0)))

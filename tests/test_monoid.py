@@ -161,6 +161,11 @@ def test_idempotents_are_partial_identities_on_faces(acceptance_monoids):
                 assert PartialInjection.partial_identity(R.degree, face) in R
 
 
+def test_face_sizes_first_basic_a2(basic_a2, canonical_a2):
+    assert [len(basic_a2.face(e)) for e in basic_a2.lattice] == [0, 1, 2, 3]
+    assert canonical_a2.face(canonical_a2.lattice.zero) == frozenset()
+
+
 def test_deterministic_rebuild(basic_a2):
     again = make_monoid("A", 2, (1, 0))
     assert [p.targets for p in again.elements] == [p.targets for p in basic_a2.elements]
@@ -218,12 +223,22 @@ def test_normal_form_special_cases(basic_a2):
     e1 = R.lattice.nonzero[1]
     form = normal_form(R, R.idempotent_map(e1))
     assert form.unit == R.group.identity
-    assert form.domain_face == form.range_face == e1.face_vertices
+    assert form.domain_face == form.range_face == R.face(e1)
 
 
 def test_normal_form_rejects_foreign_elements(basic_a2):
     with pytest.raises(ValueError):
         normal_form(basic_a2, PartialInjection.zero(5))
+
+
+def test_project_and_subrank_reject_foreign_elements(basic_b2):
+    # First basic B2 acts on 4 vertices; swapping the last two while fixing
+    # the first two is a permutation outside the 8 units.
+    foreign = PartialInjection((0, 1, 3, 2))
+    assert foreign not in basic_b2
+    for fn in (normal_form, project, subrank):
+        with pytest.raises(ValueError, match="does not belong to the monoid"):
+            fn(basic_b2, foreign)
 
 
 def test_invertible_part_stays_in_monoid(acceptance_monoids):
@@ -261,35 +276,35 @@ def test_face_action_consistency(acceptance_monoids):
             for face in faces:
                 lhs = compose(u, compose(PartialInjection.partial_identity(R.degree, face), ui))
                 assert lhs == PartialInjection.partial_identity(
-                    R.degree, R.group.apply_to_face(w, face)
+                    R.degree, frozenset(map(R.unit_for(w), face))
                 )
 
 
 def test_face_transporter_identity_and_errors(basic_a2):
     R = basic_a2
     e0 = R.lattice.min_nonzero
-    t = face_transporter(R, e0.face_vertices, e0.face_vertices)
+    t = face_transporter(R, R.face(e0), R.face(e0))
     assert t.unit == R.group.identity
     assert t.map == R.idempotent_map(e0)
     e1 = R.lattice.nonzero[1]
     with pytest.raises(NotInOrbit):
-        face_transporter(R, e0.face_vertices, e1.face_vertices)
+        face_transporter(R, R.face(e0), R.face(e1))
     with pytest.raises(ValueError):
         # A moved face is in the orbit but is not the lattice face itself.
         moved = next(
-            f for f in R.face_orbits[e1.index] if f != e1.face_vertices
+            f for f in R.face_orbits[e1.index] if f != R.face(e1)
         )
-        face_transporter(R, moved, e1.face_vertices)
+        face_transporter(R, moved, R.face(e1))
 
 
 def test_face_transporter_minimal_and_unique(acceptance_monoids):
     for _, R in acceptance_monoids:
         group = R.group
         for e in R.lattice.nonzero:
-            base = e.face_vertices
+            base = R.face(e)
             for target in R.face_orbits[e.index]:
                 movers = [
-                    w for w in group.elements if group.apply_to_face(w, base) == target
+                    w for w in group.elements if frozenset(map(R.unit_for(w), base)) == target
                 ]
                 least = min(w.length for w in movers)
                 shortest = [w for w in movers if w.length == least]
@@ -323,8 +338,8 @@ def test_project_lands_in_star_group_and_roundtrips(basic_b2, canonical_a2):
             e = R.stratum_of(sigma)
             p = project(R, sigma)
             assert p in star_sets[e.index]
-            to_dom = face_transporter(R, e.face_vertices, sigma.domain)
-            to_rng = face_transporter(R, e.face_vertices, sigma.image)
+            to_dom = face_transporter(R, R.face(e), sigma.domain)
+            to_rng = face_transporter(R, R.face(e), sigma.image)
             assert compose(to_rng.map, compose(p, inverse(to_dom.map))) == sigma
 
 
@@ -335,7 +350,7 @@ def test_project_of_invertible_part_is_unit_conjugation(basic_b2):
         if part == R.zero:
             continue
         e = R.stratum_of(part)
-        t = face_transporter(R, e.face_vertices, part.domain)
+        t = face_transporter(R, R.face(e), part.domain)
         w = R.unit_for(t.unit)
         wi = R.unit_for(R.group.inv(t.unit))
         assert project(R, part) == compose(wi, compose(part, w))
@@ -386,8 +401,8 @@ def test_normal_form_of_unit_times_idempotent(basic_a2):
     sigma = compose(R.unit_for(s1), R.idempotent_map(e1))
     form = normal_form(R, sigma)
     assert form.unit == s1
-    assert form.domain_face == e1.face_vertices
-    assert form.range_face == R.group.apply_to_face(s1, e1.face_vertices)
+    assert form.domain_face == R.face(e1)
+    assert form.range_face == frozenset(map(R.unit_for(s1), R.face(e1)))
 
 
 def test_project_fixes_realized_star_elements(basic_b2):
@@ -407,6 +422,6 @@ def test_unit_helpers(basic_a2):
     sigma = R.idempotent_map(e0)
     moved = R.conjugate_by_unit(w, sigma)
     assert moved == PartialInjection.partial_identity(
-        R.degree, R.group.apply_to_face(w, e0.face_vertices)
+        R.degree, frozenset(map(R.unit_for(w), R.face(e0)))
     )
     assert R.units[0] == R.one

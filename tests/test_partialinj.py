@@ -113,6 +113,8 @@ def test_natural_leq():
                 tau, PartialInjection.partial_identity(3, sigma.domain)
             ) == sigma
             assert natural_leq(sigma, tau) == expected
+    with pytest.raises(ValueError):
+        natural_leq(zero, PartialInjection.identity(2))
 
 
 def test_restrict():
@@ -121,6 +123,9 @@ def test_restrict():
         assert restrict(sigma, range(3)) == sigma
         assert restrict(sigma, []) == PartialInjection.zero(3)
     assert restrict(one, [0, 2]) == PartialInjection.partial_identity(3, [0, 2])
+    for keep in ([0, 3], [-1]):
+        with pytest.raises(ValueError):
+            restrict(one, keep)
 
 
 def test_is_idempotent_matches_squaring():

@@ -217,6 +217,19 @@ WEYL_CLASS_COUNTS = {
 }
 
 
+def test_both_realizations_list_the_same_words():
+    # BFS order is (length, lex-least word) in every faithful realization, so
+    # the small orbit of the first fundamental weight and the regular orbit of
+    # (1, ..., 1) list the same Coxeter elements index by index; the monoid
+    # build maps element i of one to element i of the other.
+    for letter, rank in WEYL_CLASS_COUNTS:
+        cartan = cartan_matrix(letter, rank)
+        small = generate_weyl(cartan, (1,) + (0,) * (rank - 1))
+        regular = generate_weyl(cartan, (1,) * rank)
+        assert regular.degree == regular.order == small.order, (letter, rank)
+        assert [w.word for w in small] == [w.word for w in regular], (letter, rank)
+
+
 def test_conjugacy_classes_counts():
     a2 = generate_weyl(cartan_matrix("A", 2), (1, 1))
     assert len(group_conjugacy_classes(parabolic(a2, ()))) == 1
