@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -40,6 +41,7 @@ from .monoid import (
     monoid_to_json,
 )
 from .rootsys import DEFAULT_MAX_GROUP_ORDER, CartanMatrix, cartan_matrix
+from .rootsys import check_group_cap, validate_type
 
 _TYPE_RE = re.compile(r"^([A-Ga-g])\s*(\d+)$")
 
@@ -60,17 +62,21 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _type_and_weight(args: argparse.Namespace) -> tuple[CartanMatrix, tuple[int, ...]]:
     letter, rank = _parse_type(args.type)
-    cartan = cartan_matrix(letter, rank)
+    validate_type(letter, rank)
     if args.weight is not None:
         coords = _parse_int_list(args.weight)
         if len(coords) != rank:
             raise ValueError(f"weight has {len(coords)} entries, expected {rank}")
-        return cartan, DominantWeightSpec.from_weight(coords).mu
-    indices = _parse_int_list(args.j0)
-    for i in indices:
-        if not 1 <= i <= rank:
-            raise ValueError(f"--j0 index {i} out of range 1..{rank}")
-    return cartan, DominantWeightSpec.from_j0(rank, [i - 1 for i in indices]).mu
+        spec = DominantWeightSpec.from_weight(coords)
+    else:
+        indices = _parse_int_list(args.j0)
+        for i in indices:
+            if not 1 <= i <= rank:
+                raise ValueError(f"--j0 index {i} out of range 1..{rank}")
+        spec = DominantWeightSpec.from_j0(rank, [i - 1 for i in indices])
+    # After the input checks (exit 2), before the Cartan matrix (rank^2).
+    check_group_cap(letter, rank, args.max_group_order)
+    return cartan_matrix(letter, rank), spec.mu
 
 
 def _lattice(args: argparse.Namespace) -> CrossSectionLattice:
@@ -272,6 +278,7 @@ def _add_monoid_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache  # building the parser costs more than a small query
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="renner",
@@ -312,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except SizeCapExceeded as exc:

@@ -3,11 +3,11 @@
 Four equivalences are computed: unit conjugacy (orbits of sigma under
 sigma -> w sigma w^{-1}), Munn conjugacy (unit conjugacy of invertible
 parts), semigroup conjugacy (transitive closure of xy ~ yx), and action
-conjugacy (transitive closure of the partial conjugation action).  Unit
-conjugacy is computed stratum-by-stratum through coset orbits and also by
-brute force; the brute-force partitions validate the structured ones in the
-test suite.  The class and representation counts need only the
-cross-section lattice, not the monoid.
+conjugacy (transitive closure of the partial conjugation action).  Each
+element's unit-conjugacy class is read off its normal form through the
+coset orbits of its stratum, and its Munn class is the unit-conjugacy class
+of its invertible part; brute force validates them in the test suite.  The
+class and representation counts need only the cross-section lattice.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional
 
 from .crosslat import CrossIdempotent, CrossSectionLattice
-from .errors import ConstructionError, SizeCapExceeded
-from .monoid import RennerMonoid, element_label, project
+from .errors import SizeCapExceeded
+from .monoid import RennerMonoid, element_label
 from .partialinj import (
     PartialInjection,
     compose,
@@ -89,12 +89,16 @@ class ConjClassification:
         return frozenset(self.classes)
 
 
-def _coset_orbits(lattice: CrossSectionLattice, e: CrossIdempotent) -> OrbitReport:
+def _coset_orbits(
+    lattice: CrossSectionLattice, e: CrossIdempotent
+) -> tuple[OrbitReport, dict[WeylElement, int]]:
     """Orbits of the centralizer on the left cosets of the stabilizer,
-    acting by conjugation.  The zero stratum is the single class of 0."""
+    acting by conjugation, and the orbit of every group element's coset,
+    named by its least coset's number.  The zero stratum is the single class
+    of 0, whose element's normal form has only the identity as unit."""
     group = lattice.group
     if e.is_zero:
-        return OrbitReport(e, 1, 1, (group.identity,), (1,))
+        return OrbitReport(e, 1, 1, (group.identity,), (1,)), {group.identity: 0}
     coset_min, coset_of = left_cosets(lattice.stabilizer(e))
     uf = UnionFind(len(coset_min))
     cent_gens = [group.generators[j] for j in sorted(e.lambda_set)]
@@ -104,14 +108,16 @@ def _coset_orbits(lattice: CrossSectionLattice, e: CrossIdempotent) -> OrbitRepo
     # Each root is its orbit's least coset number, and coset_min is in
     # (length, word) order, so the roots name the orbits' least members and
     # first appear in increasing order.
-    sizes = Counter(uf.find(cid) for cid in range(len(coset_min)))
+    roots = [uf.find(cid) for cid in range(len(coset_min))]
+    sizes = Counter(roots)
     reps = tuple(coset_min[root] for root in sizes)
-    return OrbitReport(e, len(coset_min), len(reps), reps, tuple(sizes.values()))
+    report = OrbitReport(e, len(coset_min), len(reps), reps, tuple(sizes.values()))
+    return report, {w: roots[cid] for w, cid in coset_of.items()}
 
 
 def stratum_orbit_reports(lattice: CrossSectionLattice) -> tuple[OrbitReport, ...]:
     """One report per lattice idempotent, in lattice order."""
-    return tuple(_coset_orbits(lattice, e) for e in lattice.idempotents)
+    return tuple(_coset_orbits(lattice, e)[0] for e in lattice.idempotents)
 
 
 def count_sim_classes(lattice: CrossSectionLattice) -> int:
@@ -120,29 +126,29 @@ def count_sim_classes(lattice: CrossSectionLattice) -> int:
     return sum(r.orbit_count for r in stratum_orbit_reports(lattice))
 
 
-def _unit_conjugation_pairs(monoid: RennerMonoid, gens_only: bool = False):
+def _sim_labels(monoid: RennerMonoid) -> list[tuple[int, int]]:
+    """The unit-conjugacy class of every element, as (stratum, orbit).
+
+    An element with canonical unit c, whose domain is e's face moved by the
+    transporter t, is c t e t^{-1}, unit conjugate to (t^{-1} c t) e; and
+    u e ~ v e exactly when u W_*(e) and v W_*(e) lie in one W(e)-orbit.
+    """
     group = monoid.group
-    source = group.generators if gens_only else group.elements
-    return [
-        (monoid.unit_for(w), monoid.unit_for(group.inv(w))) for w in source
-    ]
+    labels: list[tuple[int, int]] = [(0, 0)] * monoid.order
+    for e in monoid.lattice.idempotents:
+        orbit_of = _coset_orbits(monoid.lattice, e)[1]
+        for i in monoid.strata[e.index]:
+            t = monoid.transporters[monoid.elements[i].domain].unit
+            moved = group.mul(group.mul(group.inv(t), monoid.canonical_units[i]), t)
+            labels[i] = (e.index, orbit_of[moved])
+    return labels
 
 
 def sim_conjugacy_classes(monoid: RennerMonoid) -> ConjClassification:
     """Unit-conjugacy classes, one per centralizer orbit on stabilizer
-    cosets: the class of u*e, for a minimal coset representative u, is its
-    conjugates by the units (the zero stratum's one orbit is the class of 0)."""
-    labels: list[Optional[int]] = [None] * monoid.order
-    conj_pairs = _unit_conjugation_pairs(monoid)
-    orbit = 0
-    for e in monoid.lattice.idempotents:
-        e_map = monoid.idempotent_map(e)
-        for u in _coset_orbits(monoid.lattice, e).orbit_reps:
-            rep = compose(monoid.unit_for(u), e_map)
-            for wp, wq in conj_pairs:
-                labels[monoid.index_of(compose(wp, compose(rep, wq)))] = orbit
-            orbit += 1
-    return _classes_by_label(monoid, labels, "sim")
+    cosets, each element's orbit read off its normal form (the zero
+    stratum's one orbit is the class of 0)."""
+    return _classes_by_label(monoid, _sim_labels(monoid), "sim")
 
 
 def _classes_by_label(
@@ -168,43 +174,21 @@ def sim_classes_bruteforce(monoid: RennerMonoid) -> ConjClassification:
     """Oracle: direct orbits of sigma -> w sigma w^{-1} over the unit group
     (conjugating by the generators suffices to close the orbits)."""
     uf = UnionFind(len(monoid.elements))
-    gen_pairs = _unit_conjugation_pairs(monoid, gens_only=True)
+    # The generators are simple reflections, so each is its own inverse.
+    gens = [monoid.unit_for(g) for g in monoid.group.generators]
     for idx, p in enumerate(monoid.elements):
-        for gp, gq in gen_pairs:
-            uf.union(idx, monoid.index_of(compose(gp, compose(p, gq))))
+        for g in gens:
+            uf.union(idx, monoid.index_of(compose(g, compose(p, g))))
     return _classes_by_label(monoid, map(uf.find, range(monoid.order)), "sim")
 
 
 def munn_classes(monoid: RennerMonoid) -> ConjClassification:
-    """Partition by subrank and the conjugacy class of the projected
-    invertible part inside the realized lambda_star subgroup.
-
-    The classes of each lambda_star parabolic are read off
-    ``group_conjugacy_classes`` and realized on the face of e as u*e.  The
-    least element of a class, its representative, is u*e for the least
-    member u of its group class.
-    """
-    star_tables: dict[int, dict[PartialInjection, int]] = {}
-    for e in monoid.lattice.nonzero:
-        star = monoid.lattice.star_group(e)
-        e_map = monoid.idempotent_map(e)
-        table = {
-            compose(monoid.unit_for(u), e_map): cid
-            for cid, cls in enumerate(group_conjugacy_classes(star))
-            for u in cls
-        }
-        if len(table) != star.order:
-            raise ConstructionError("lambda_star subgroup does not embed on its face")
-        star_tables[e.index] = table
-
-    labels = []
-    for sigma in monoid.elements:
-        part = invertible_part(sigma)
-        if part == monoid.zero:
-            labels.append((monoid.lattice.zero.index, 0))
-        else:
-            e = monoid.stratum_of(part)
-            labels.append((e.index, star_tables[e.index][project(monoid, part)]))
+    """Partition by the unit-conjugacy class of the invertible part, so
+    each class lies over one subrank (those with zero invertible part over
+    the zero's)."""
+    sim = _sim_labels(monoid)
+    index = monoid.index_of
+    labels = [sim[index(invertible_part(sigma))] for sigma in monoid.elements]
     return _classes_by_label(monoid, labels, "munn")
 
 
@@ -252,9 +236,8 @@ def irreducible_rep_count(lattice: CrossSectionLattice) -> int:
     characteristic zero: conjugacy classes of the lambda_star parabolic
     summed over the lattice, the zero stratum contributing one.
 
-    Computed from the lattice alone.  It shares ``group_conjugacy_classes``
-    with ``munn_classes``, so the independent checks on the Munn partition
-    are the semigroup/action closures and the rook-monoid count formula.
+    Computed from the lattice alone; ``munn_classes`` reaches the same
+    count by another route, so each checks the other.
     """
     total = 1
     for e in lattice.nonzero:

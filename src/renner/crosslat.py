@@ -21,6 +21,7 @@ from .rootsys import (
     CartanMatrix,
     Subgroup,
     WeylGroup,
+    check_group_cap,
     generate_weyl,
     parabolic,
     standard_weyl_order,
@@ -254,13 +255,15 @@ def build_lattice(
     """The cross-section lattice of the J-irreducible monoid with highest
     weight ``mu`` over the given Cartan type.
 
-    Generates the Weyl group on the orbit of the first fundamental weight
-    (at most 24 points; the lattice needs only W and J0) and checks that it
-    acts faithfully, so every count read off the lattice is the monoid's.
+    Refuses a Weyl group over the cap from its closed-form order, then
+    generates it on the orbit of the first fundamental weight (at most 24
+    points; the lattice needs only W and J0) and checks that it acts
+    faithfully, so every count read off the lattice is the monoid's.
     """
     spec = DominantWeightSpec(tuple(mu))
     if len(spec.mu) != cartan.rank:
         raise ValueError(f"weight has length {len(spec.mu)}, expected rank {cartan.rank}")
+    check_group_cap(cartan.letter, cartan.rank, max_group_order)
     omega1 = (1,) + (0,) * (cartan.rank - 1)
     group = generate_weyl(cartan, omega1, max_order=max_group_order)
     expected = standard_weyl_order(cartan.letter, cartan.rank)

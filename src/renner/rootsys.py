@@ -27,7 +27,8 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 _FIXED_RANK = {"F": 4, "G": 2}
 
 
-def _validate_type(letter: str, rank: int) -> None:
+def validate_type(letter: str, rank: int) -> None:
+    """Raise InvalidType unless the letter and rank name a supported type."""
     if letter in _MIN_RANK:
         if rank < _MIN_RANK[letter]:
             raise InvalidType(
@@ -40,18 +41,36 @@ def _validate_type(letter: str, rank: int) -> None:
         raise InvalidType(f"unknown type letter {letter!r} (expected one of A, B, C, D, F, G)")
 
 
+def _order_factors(letter: str, rank: int) -> Sequence[int]:
+    """Factors of |W|, each at least 2: (n+1)! for A_n, 2^n n! = 2*4*...*2n
+    for B_n and C_n, 2^(n-1) n! = 4*6*...*2n for D_n."""
+    if letter == "A":
+        return range(2, rank + 2)
+    if letter in ("B", "C", "D"):
+        return range(4 if letter == "D" else 2, 2 * rank + 1, 2)
+    return (1152,) if letter == "F" else (12,)
+
+
 def standard_weyl_order(letter: str, rank: int) -> int:
     """Order of the Weyl group of the given type, from the classical tables."""
-    _validate_type(letter, rank)
-    if letter == "A":
-        return math.factorial(rank + 1)
-    if letter in ("B", "C"):
-        return 2**rank * math.factorial(rank)
-    if letter == "D":
-        return 2 ** (rank - 1) * math.factorial(rank)
-    if letter == "F":
-        return 1152
-    return 12  # G2
+    validate_type(letter, rank)
+    return math.prod(_order_factors(letter, rank))
+
+
+def check_group_cap(letter: str, rank: int, max_order: int) -> None:
+    """Refuse a Weyl group of more than ``max_order`` elements from its
+    closed-form order.  The product stops once it passes the cap (naming
+    that partial product as a lower bound), so the cost is linear in rank."""
+    validate_type(letter, rank)
+    factors = _order_factors(letter, rank)
+    order = 1
+    for k, factor in enumerate(factors, 1):
+        order *= factor
+        if order > max_order:
+            bound = "" if k == len(factors) else "at least "
+            raise SizeCapExceeded(
+                f"Weyl group of order {bound}{order} exceeds the cap {max_order}"
+            )
 
 
 @dataclass(frozen=True)
@@ -84,7 +103,7 @@ def cartan_matrix(letter: str, rank: int) -> CartanMatrix:
     >>> cartan_matrix("G", 2).rows
     ((2, -1), (-3, 2))
     """
-    _validate_type(letter, rank)
+    validate_type(letter, rank)
     m = [[0] * rank for _ in range(rank)]
     for i in range(rank):
         m[i][i] = 2
@@ -330,9 +349,9 @@ def group_conjugacy_classes(sub: Subgroup) -> tuple[tuple[WeylElement, ...], ...
     ``bfs_orbit`` under conjugation by the subgroup's simple generators.
 
     Each class is sorted by (length, word) and classes are ordered by their
-    least member, so ``cls[0]`` is the canonical representative.  This is
-    the one conjugacy-class routine for Weyl subgroups: the Munn classes and
-    the representation count both read it.
+    least member, so ``cls[0]`` is the canonical representative.  The
+    representation count reads it; the Munn classes do not, so the two
+    check each other.
     """
     group = sub.parent
     moves = [partial(group.conjugate, group.generators[j]) for j in sorted(sub.generator_indices)]

@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from renner import build_renner, cartan_matrix
+from renner import SizeCapExceeded, build_renner, cartan_matrix
 
 
 def make_monoid(letter, rank, weight, **kwargs):
@@ -55,3 +57,23 @@ def acceptance_monoids(
         ("first basic B2", basic_b2),
         ("first basic G2", basic_g2),
     ]
+
+
+@pytest.fixture(scope="session")
+def small_grid():
+    """Every type of rank <= 3 with every zero pattern whose monoid has at
+    most 5000 elements, as (config, monoid) pairs, and the configs above."""
+    built, skipped = [], []
+    for letter, rank in (
+        ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
+        ("D", 3), ("G", 2),
+    ):
+        for mu in itertools.product((1, 0), repeat=rank):
+            if not any(mu):
+                continue
+            config = f"{letter}{rank}{mu}"
+            try:
+                built.append((config, make_monoid(letter, rank, mu, max_monoid_order=5000)))
+            except SizeCapExceeded:
+                skipped.append(config)
+    return built, skipped

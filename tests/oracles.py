@@ -4,12 +4,15 @@ Nothing here goes through the structured code paths under test: rook monoids
 are enumerated combinatorially, partitions are enumerated recursively, the
 B2 reflection group is realized by explicit signed permutations of Euclidean
 coordinates, and generated monoids and subgroups are closed by brute-force
-multiplication.
+multiplication.  The Munn classes are also found by a second route, through
+projections onto the lambda_star parabolics and their conjugacy classes.
 """
 
 from itertools import combinations, permutations
 
-from renner.partialinj import PartialInjection, compose
+from renner.monoid import project
+from renner.partialinj import PartialInjection, compose, invertible_part
+from renner.rootsys import group_conjugacy_classes
 
 
 def all_partial_injections(n):
@@ -113,3 +116,38 @@ def subgroup_closure(group, generators):
                     nxt.append(p)
         frontier = nxt
     return members
+
+
+def munn_listing_by_star_groups(monoid):
+    """Munn classes as (representative, size, stratum), in order of their
+    least elements, each represented by its least element.
+
+    Each element is labelled by the subrank of its invertible part and the
+    conjugacy class, in the lambda_star parabolic realized on the subrank's
+    face as u * e, of the projected invertible part.
+    """
+    lattice = monoid.lattice
+    tables = {}
+    for e in lattice.nonzero:
+        star = lattice.star_group(e)
+        e_map = monoid.idempotent_map(e)
+        tables[e.index] = {
+            compose(monoid.unit_for(u), e_map): cid
+            for cid, cls in enumerate(group_conjugacy_classes(star))
+            for u in cls
+        }
+        assert len(tables[e.index]) == star.order, "lambda_star does not embed on its face"
+    groups = {}
+    for idx, sigma in enumerate(monoid.elements):
+        part = invertible_part(sigma)
+        if part == monoid.zero:
+            label = (lattice.zero.index, 0)
+        else:
+            e = monoid.stratum_of(part)
+            label = (e.index, tables[e.index][project(monoid, part)])
+        groups.setdefault(label, []).append(idx)
+    listing = []
+    for idxs in groups.values():
+        rep = monoid.elements[idxs[0]]
+        listing.append((rep, len(idxs), monoid.stratum_of(rep)))
+    return listing

@@ -1,9 +1,10 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from renner import rootsys
+from renner import cli, rootsys
 from renner.cli import main
 
 
@@ -146,7 +147,7 @@ def test_cap_exceeded_exit_3(capsys, monkeypatch):
         capsys, "counts", "--type", "F4", "--weight", "1,1,1,1",
         "--max-group-order", "100",
     )
-    assert code == 3
+    assert code == 3 and err == "error: Weyl group of order 1152 exceeds the cap 100\n"
     # Canonical G2 has |R| = 301: a cap of exactly |R| is allowed, one less
     # is refused from the closed-form order, before any element is made.
     code, _, _ = run(
@@ -160,6 +161,38 @@ def test_cap_exceeded_exit_3(capsys, monkeypatch):
             "--max-monoid-order", "300",
         )
         assert code == 3 and out == "" and "error:" in err, command
+
+
+def _no_matrix(*args):
+    raise AssertionError("the Cartan matrix was built")
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["lattice", "--type", "A1500", "--weight", ",".join(["1"] * 1500)], 3),
+        (["lattice", "--type", "A3000", "--weight", "1"], 2),
+        (["counts", "--type", "A100000", "--j0", "1"], 3),
+    ],
+    ids=["A1500-over-cap", "A3000-short-weight", "A100000-over-cap"],
+)
+def test_large_ranks_are_refused_before_the_cartan_matrix(capsys, monkeypatch, argv, code):
+    # The closed-form |W| is checked against the group cap after the input is
+    # validated and before the Cartan matrix (quadratic in the rank) is made.
+    monkeypatch.setattr("renner.cli.cartan_matrix", _no_matrix)
+    start = time.perf_counter()
+    got, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert got == code and out == "" and "error:" in err
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    # Every command looks its helpers up when it runs, so one parser serves
+    # every call, patched helpers included.
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr("renner.cli.munn_count_rook", lambda points: -points)
+    code, out, _ = run(capsys, "rook-count", "3")
+    assert code == 0 and out == "-3\n"
 
 
 def test_classes_semigroup_uses_the_pairwise_cap(capsys, monkeypatch):

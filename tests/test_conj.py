@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import make_monoid
-from oracles import partition_count
+from oracles import munn_listing_by_star_groups, partition_count
 from renner import (
     SizeCapExceeded,
     action_conjugacy_classes,
@@ -34,15 +34,17 @@ def test_count_matches_bruteforce(acceptance_monoids):
         assert count_sim_classes(R.lattice) == sim_classes_bruteforce(R).class_count, name
 
 
-def test_sim_partition_matches_bruteforce(basic_b2, canonical_a2):
-    def listing(classification):
-        return [
-            (rep, len(cls), e)
-            for rep, cls, e in zip(
-                classification.representatives, classification.classes, classification.strata
-            )
-        ]
+def listing(classification):
+    """(representative, size, stratum) per class, in the listed order."""
+    return [
+        (rep, len(cls), e)
+        for rep, cls, e in zip(
+            classification.representatives, classification.classes, classification.strata
+        )
+    ]
 
+
+def test_sim_partition_matches_bruteforce(basic_b2, canonical_a2):
     for R in (basic_b2, canonical_a2):
         structured = sim_conjugacy_classes(R)
         brute = sim_classes_bruteforce(R)
@@ -134,17 +136,27 @@ def test_munn_counts(basic_a2, basic_b2, canonical_a2):
     assert munn_classes(canonical_a2).class_count == 9
 
 
+def test_independent_routes_agree_on_the_small_grid(small_grid):
+    # Sim labels come from the coset orbits and Munn labels from the sim
+    # labels of invertible parts; each is checked against a route that does
+    # not read the coset orbits: brute-force unit conjugation, the
+    # lambda_star class tables, and the representation count.
+    built, _ = small_grid
+    for config, R in built:
+        assert listing(sim_conjugacy_classes(R)) == listing(sim_classes_bruteforce(R)), config
+        munn = munn_classes(R)
+        assert listing(munn) == munn_listing_by_star_groups(R), config
+        assert munn.class_count == irreducible_rep_count(R.lattice), config
+
+
 def test_munn_members_share_subrank(basic_b2):
     for cls in munn_classes(basic_b2).classes:
         assert len({subrank(basic_b2, sigma) for sigma in cls}) == 1
 
 
 def test_munn_equals_semigroup_and_action_partitions(basic_a2, canonical_a2):
-    def listing(classification):
-        return [
-            (rep, len(cls))
-            for rep, cls in zip(classification.representatives, classification.classes)
-        ]
+    def unstratified(classification):
+        return [(rep, size) for rep, size, _ in listing(classification)]
 
     for R in (basic_a2, canonical_a2):
         munn = munn_classes(R)
@@ -154,8 +166,8 @@ def test_munn_equals_semigroup_and_action_partitions(basic_a2, canonical_a2):
         assert munn.partition() == action.partition()
         # Each class's least element is its Munn representative, so the
         # pairwise kinds list the classes in Munn order.
-        assert listing(semigroup) == listing(munn)
-        assert listing(action) == listing(munn)
+        assert unstratified(semigroup) == unstratified(munn)
+        assert unstratified(action) == unstratified(munn)
 
 
 def test_sim_refines_munn_strictly(canonical_a2):

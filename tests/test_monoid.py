@@ -1,4 +1,3 @@
-import itertools
 import json
 
 import pytest
@@ -76,35 +75,24 @@ def test_orders_match_stratum_size_formula(acceptance_monoids):
         assert R.order == expected, name
 
 
-def test_strata_have_their_closed_form_sizes():
+def test_strata_have_their_closed_form_sizes(small_grid):
     # Every type of rank <= 3 and every zero pattern with |R| <= 5000; only
     # the two canonical rank-3 monoids of types B and C (7057) lie above.
-    skipped = []
-    for letter, rank in (
-        ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
-        ("D", 3), ("G", 2),
-    ):
-        for mu in itertools.product((1, 0), repeat=rank):
-            if not any(mu):
-                continue
-            try:
-                R = make_monoid(letter, rank, mu, max_monoid_order=5000)
-            except SizeCapExceeded:
-                skipped.append(f"{letter}{rank}{mu}")
-                continue
-            for e in R.lattice.idempotents:
-                assert len(R.strata[e.index]) == R.lattice.stratum_size(e), (letter, mu)
-            # The enumeration makes exactly the generator closure, and each
-            # stratum is the double coset W e W inside it.
-            units = [R.unit_for(w) for w in R.group.elements]
-            generators = [R.unit_for(g) for g in R.group.generators] + [
-                R.idempotent_map(e) for e in R.lattice.idempotents
-            ]
-            assert set(R.elements) == generator_closure(generators), (letter, mu)
-            for e in R.lattice.idempotents:
-                assert set(R.stratum_elements(e)) == double_coset(
-                    units, R.idempotent_map(e)
-                ), (letter, mu, e.label)
+    built, skipped = small_grid
+    for config, R in built:
+        for e in R.lattice.idempotents:
+            assert len(R.strata[e.index]) == R.lattice.stratum_size(e), config
+        # The enumeration makes exactly the generator closure, and each
+        # stratum is the double coset W e W inside it.
+        units = [R.unit_for(w) for w in R.group.elements]
+        generators = [R.unit_for(g) for g in R.group.generators] + [
+            R.idempotent_map(e) for e in R.lattice.idempotents
+        ]
+        assert set(R.elements) == generator_closure(generators), config
+        for e in R.lattice.idempotents:
+            assert set(R.stratum_elements(e)) == double_coset(
+                units, R.idempotent_map(e)
+            ), (config, e.label)
     assert skipped == ["B3(1, 1, 1)", "C3(1, 1, 1)"]
 
 

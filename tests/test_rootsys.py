@@ -16,6 +16,7 @@ from renner import (
     standard_weyl_order,
     weight_orbit,
 )
+from renner.rootsys import check_group_cap
 
 
 def test_cartan_matrix_rank_two_tables():
@@ -254,3 +255,19 @@ def test_conjugacy_class_sizes_sum():
         assert sum(len(c) for c in classes) == sub.order
         for cls in classes:
             assert cls[0] == min(cls, key=WeylElement.canonical_key)
+
+
+def test_group_cap_from_the_closed_form_order():
+    for letter, rank in WEYL_CLASS_COUNTS:
+        order = standard_weyl_order(letter, rank)
+        check_group_cap(letter, rank, order)
+        with pytest.raises(SizeCapExceeded):
+            check_group_cap(letter, rank, order - 1)
+    # The last factor passes the cap, so the order is exact; otherwise the
+    # product stops early and gives a lower bound.
+    with pytest.raises(SizeCapExceeded, match=r"^Weyl group of order 1152 exceeds the cap 100$"):
+        check_group_cap("F", 4, 100)
+    with pytest.raises(SizeCapExceeded, match=r"^Weyl group of order at least 120 exceeds the cap 100$"):
+        check_group_cap("A", 5, 100)
+    with pytest.raises(InvalidType):
+        check_group_cap("B", 1, 1000)
