@@ -8,6 +8,12 @@ element's unit-conjugacy class is read off its normal form through the
 coset orbits of its stratum, and its Munn class is the unit-conjugacy class
 of its invertible part; brute force validates them in the test suite.  The
 class and representation counts need only the cross-section lattice.
+
+The pairwise semigroup and action closures, and the brute-force sim oracle,
+work on byte codes of the elements (``_byte_codes``): a product is one
+``bytes.translate`` and a dict lookup, and the semigroup closure visits each
+unordered pair once.  Codes need a degree of at most 255, so the pairwise
+closures refuse a larger degree with ``SizeCapExceeded``.
 """
 
 from __future__ import annotations
@@ -19,17 +25,13 @@ from typing import Hashable, Iterable, Optional
 from .crosslat import CrossIdempotent, CrossSectionLattice
 from .errors import SizeCapExceeded
 from .monoid import RennerMonoid, element_label
-from .partialinj import (
-    PartialInjection,
-    compose,
-    inverse,
-    invertible_part,
-    stable_domain,
-)
+from .partialinj import PartialInjection, invertible_part, stable_domain
 from .rootsys import WeylElement, group_conjugacy_classes, left_cosets
 
 # Pairwise oracles are O(|R|^2); keep them desk-scale by default.
 DEFAULT_PAIRWISE_CAP = 2000
+# A byte code holds the points 0..degree-1 and one "undefined" byte.
+_MAX_CODE_DEGREE = 255
 
 
 class UnionFind:
@@ -54,14 +56,13 @@ class UnionFind:
 class OrbitReport:
     """Centralizer orbits on the stabilizer cosets of one idempotent.
 
-    ``orbit_sizes`` is aligned with ``orbit_reps`` and sums to
-    ``coset_count`` (the orbits partition the cosets).
+    ``orbit_sizes`` lists the orbits in the order of their least cosets and
+    sums to ``coset_count`` (the orbits partition the cosets).
     """
 
     idempotent: CrossIdempotent
     coset_count: int
     orbit_count: int
-    orbit_reps: tuple[WeylElement, ...]
     orbit_sizes: tuple[int, ...]
 
 
@@ -98,7 +99,7 @@ def _coset_orbits(
     of 0, whose element's normal form has only the identity as unit."""
     group = lattice.group
     if e.is_zero:
-        return OrbitReport(e, 1, 1, (group.identity,), (1,)), {group.identity: 0}
+        return OrbitReport(e, 1, 1, (1,)), {group.identity: 0}
     coset_min, coset_of = left_cosets(lattice.stabilizer(e))
     uf = UnionFind(len(coset_min))
     cent_gens = [group.generators[j] for j in sorted(e.lambda_set)]
@@ -110,8 +111,7 @@ def _coset_orbits(
     # first appear in increasing order.
     roots = [uf.find(cid) for cid in range(len(coset_min))]
     sizes = Counter(roots)
-    reps = tuple(coset_min[root] for root in sizes)
-    report = OrbitReport(e, len(coset_min), len(reps), reps, tuple(sizes.values()))
+    report = OrbitReport(e, len(coset_min), len(sizes), tuple(sizes.values()))
     return report, {w: roots[cid] for w, cid in coset_of.items()}
 
 
@@ -170,15 +170,58 @@ def _classes_by_label(
     return ConjClassification(kind, classes, reps, strata)
 
 
+def _byte_codes(monoid: RennerMonoid) -> tuple[list[bytes], list[bytes], dict[bytes, int]]:
+    """Every element as a byte code, as a translation table, and the index
+    of each code.
+
+    The code of x has length degree + 1: entry i is x(i), or ``degree``
+    where x is undefined, and the last entry maps ``degree`` to itself.
+    Padded to 256 bytes it is a translation table, so
+    ``codes[j].translate(tables[i])`` is the code of x_i after x_j.
+    """
+    n = monoid.degree
+    codes = [bytes([n if t is None else t for t in p.targets] + [n]) for p in monoid.elements]
+    pad = bytes(_MAX_CODE_DEGREE - n)
+    return codes, [code + pad for code in codes], {code: i for i, code in enumerate(codes)}
+
+
+def _inverse_codes(codes: list[bytes]) -> list[bytes]:
+    """The code of each coded element's inverse."""
+    inverses = []
+    for code in codes:
+        undefined = len(code) - 1
+        inv = bytearray([undefined]) * len(code)
+        for i, t in enumerate(code[:undefined]):
+            if t != undefined:
+                inv[t] = i
+        inverses.append(bytes(inv))
+    return inverses
+
+
+def _check_pairwise_caps(monoid: RennerMonoid, max_size: int) -> int:
+    """The number of elements, once it is known to fit the cap and the
+    degree fits a byte code."""
+    n = len(monoid.elements)
+    if n > max_size:
+        raise SizeCapExceeded(f"pairwise closure over {n} elements exceeds cap {max_size}")
+    if monoid.degree > _MAX_CODE_DEGREE:
+        raise SizeCapExceeded(
+            f"pairwise closure on degree {monoid.degree} exceeds {_MAX_CODE_DEGREE}"
+        )
+    return n
+
+
 def sim_classes_bruteforce(monoid: RennerMonoid) -> ConjClassification:
     """Oracle: direct orbits of sigma -> w sigma w^{-1} over the unit group
-    (conjugating by the generators suffices to close the orbits)."""
-    uf = UnionFind(len(monoid.elements))
+    (conjugating by the generators suffices to close the orbits), on byte
+    codes."""
+    codes, tables, index = _byte_codes(monoid)
+    uf = UnionFind(len(codes))
     # The generators are simple reflections, so each is its own inverse.
-    gens = [monoid.unit_for(g) for g in monoid.group.generators]
-    for idx, p in enumerate(monoid.elements):
+    gens = [monoid.index_of(monoid.unit_for(g)) for g in monoid.group.generators]
+    for idx, table in enumerate(tables):
         for g in gens:
-            uf.union(idx, monoid.index_of(compose(g, compose(p, g))))
+            uf.union(idx, index[codes[g].translate(table).translate(tables[g])])
     return _classes_by_label(monoid, map(uf.find, range(monoid.order)), "sim")
 
 
@@ -196,16 +239,19 @@ def semigroup_conjugacy_classes(
     monoid: RennerMonoid, max_size: int = DEFAULT_PAIRWISE_CAP
 ) -> ConjClassification:
     """Transitive closure of the primary relation pairing xy with yx, by
-    union-find over all ordered pairs."""
-    n = len(monoid.elements)
-    if n > max_size:
-        raise SizeCapExceeded(f"pairwise closure over {n} elements exceeds cap {max_size}")
+    union-find over the unordered pairs {x, y} of distinct elements (the
+    relation is symmetric, and x = y pairs xx with itself), each product a
+    byte-code translation.
+
+    Raises ``SizeCapExceeded`` above ``max_size`` elements or degree 255.
+    """
+    n = _check_pairwise_caps(monoid, max_size)
+    codes, tables, index = _byte_codes(monoid)
     uf = UnionFind(n)
-    index = monoid.index_of
-    elements = monoid.elements
-    for x in elements:
-        for y in elements:
-            uf.union(index(compose(x, y)), index(compose(y, x)))
+    for i in range(n):
+        code_i, table_i = codes[i], tables[i]
+        for j in range(i + 1, n):
+            uf.union(index[codes[j].translate(table_i)], index[code_i.translate(tables[j])])
     return _classes_by_label(monoid, map(uf.find, range(n)), "semigroup", with_strata=False)
 
 
@@ -214,20 +260,24 @@ def action_conjugacy_classes(
 ) -> ConjClassification:
     """Transitive closure of the partial conjugation action: sigma moves x
     to sigma x sigma^{-1} whenever the stable domain of x sits inside the
-    domain of sigma."""
-    n = len(monoid.elements)
-    if n > max_size:
-        raise SizeCapExceeded(f"pairwise closure over {n} elements exceeds cap {max_size}")
+    domain of sigma.
+
+    The movers are grouped by domain, so the containment is tested once
+    per domain, and each move is two byte-code translations.  Raises
+    ``SizeCapExceeded`` above ``max_size`` elements or degree 255.
+    """
+    n = _check_pairwise_caps(monoid, max_size)
+    codes, tables, index = _byte_codes(monoid)
+    movers: dict[frozenset[int], list[tuple[bytes, bytes]]] = {}
+    for sigma, inv, table in zip(monoid.elements, _inverse_codes(codes), tables):
+        movers.setdefault(sigma.domain, []).append((inv, table))
     uf = UnionFind(n)
-    index = monoid.index_of
-    elements = monoid.elements
-    inverses = [inverse(s) for s in elements]
-    stable = [stable_domain(x) for x in elements]
-    for xi, x in enumerate(elements):
-        needed = stable[xi]
-        for si, s in enumerate(elements):
-            if needed <= s.domain:
-                uf.union(xi, index(compose(s, compose(x, inverses[si]))))
+    for xi, x in enumerate(monoid.elements):
+        needed, table_x = stable_domain(x), tables[xi]
+        for domain, moves in movers.items():
+            if needed <= domain:
+                for inv, table in moves:
+                    uf.union(xi, index[inv.translate(table_x).translate(table)])
     return _classes_by_label(monoid, map(uf.find, range(n)), "action", with_strata=False)
 
 

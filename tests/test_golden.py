@@ -10,6 +10,8 @@ its queries, so any change to an answer, a format or a refusal changes it.
   contribute their refusal: exit 3, empty stdout).
 * ``classes --kind sim|munn`` in all three formats with
   ``--max-monoid-order 1000``: 27 configurations answer, the rest refuse.
+* ``classes --kind semigroup|action`` in all three formats on the 16
+  configurations whose closed-form |R| is at most 300.
 
 Lattices and monoids are fixed at construction, so each configuration's
 lattice and monoid are built once and shared by its queries.
@@ -21,7 +23,7 @@ import hashlib
 import io
 import itertools
 
-from renner import cli, monoid
+from renner import cli, monoid, rootsys
 
 TYPES = [("A", r) for r in range(1, 6)] + [
     ("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4),
@@ -31,6 +33,8 @@ FORMATS = ("table", "json", "csv")
 
 GRID_DIGEST = "c4af02fc669551bca6827016b84d8fd29985fe2e75cad2a95eddb7daa1baff9e"
 CLASSES_DIGEST = "96f77c86c229ddd4a59cccba9fc0912e55851b269f20acfc9eac40ba2dea0ec5"
+PAIRWISE_DIGEST = "d098af55ef4196a7625d540cb52aa40989f2ddf1d38b0b8734b881141c698026"
+PAIRWISE_MAX_ORDER = 300
 
 
 def grid_configs():
@@ -71,6 +75,20 @@ def classes_argvs():
                        "--max-monoid-order", "1000"]
 
 
+def pairwise_argvs():
+    for config in grid_configs():
+        letter, rank = config[1][0], int(config[1][1:])
+        if rootsys.standard_weyl_order(letter, rank) > PAIRWISE_MAX_ORDER:
+            continue  # the units alone outnumber the bound
+        mu = tuple(map(int, config[3].split(",")))
+        lattice = cli.build_lattice(rootsys.cartan_matrix(letter, rank), mu)
+        if lattice.monoid_order > PAIRWISE_MAX_ORDER:
+            continue
+        for kind in ("semigroup", "action"):
+            for fmt in FORMATS:
+                yield ["classes", *config, "--kind", kind, "--format", fmt]
+
+
 def test_lattice_counts_reps_grid_digest(monkeypatch):
     monkeypatch.setattr(cli, "build_lattice", functools.cache(cli.build_lattice))
     assert digest_of(grid_argvs()) == (GRID_DIGEST, 147 * 9)
@@ -81,3 +99,8 @@ def test_sim_and_munn_classes_grid_digest(monkeypatch):
     monkeypatch.setattr(monoid, "build_lattice", functools.cache(monoid.build_lattice))
     monkeypatch.setattr(cli, "build_renner", functools.cache(cli.build_renner))
     assert digest_of(classes_argvs()) == (CLASSES_DIGEST, 147 * 6)
+
+
+def test_semigroup_and_action_classes_digest(monkeypatch):
+    monkeypatch.setattr(cli, "build_renner", functools.cache(cli.build_renner))
+    assert digest_of(pairwise_argvs()) == (PAIRWISE_DIGEST, 16 * 6)
