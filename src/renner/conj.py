@@ -10,10 +10,9 @@ of its invertible part; brute force validates them in the test suite.  The
 class and representation counts need only the cross-section lattice.
 
 The pairwise semigroup and action closures, and the brute-force sim oracle,
-work on byte codes of the elements (``_byte_codes``): a product is one
-``bytes.translate`` and a dict lookup, and the semigroup closure visits each
-unordered pair once.  Codes need a degree of at most 255, so the pairwise
-closures refuse a larger degree with ``SizeCapExceeded``.
+work on the elements' byte codes: a product is one ``bytes.translate`` of a
+code by a table and a lookup in the monoid's code index, and the semigroup
+closure visits each unordered pair once.
 """
 
 from __future__ import annotations
@@ -25,13 +24,11 @@ from typing import Hashable, Iterable, Optional
 from .crosslat import CrossIdempotent, CrossSectionLattice
 from .errors import SizeCapExceeded
 from .monoid import RennerMonoid, element_label
-from .partialinj import PartialInjection, invertible_part, stable_domain
+from .partialinj import PartialInjection, inverse, invertible_part, stable_domain
 from .rootsys import WeylElement, group_conjugacy_classes, left_cosets
 
 # Pairwise oracles are O(|R|^2); keep them desk-scale by default.
 DEFAULT_PAIRWISE_CAP = 2000
-# A byte code holds the points 0..degree-1 and one "undefined" byte.
-_MAX_CODE_DEGREE = 255
 
 
 class UnionFind:
@@ -170,44 +167,11 @@ def _classes_by_label(
     return ConjClassification(kind, classes, reps, strata)
 
 
-def _byte_codes(monoid: RennerMonoid) -> tuple[list[bytes], list[bytes], dict[bytes, int]]:
-    """Every element as a byte code, as a translation table, and the index
-    of each code.
-
-    The code of x has length degree + 1: entry i is x(i), or ``degree``
-    where x is undefined, and the last entry maps ``degree`` to itself.
-    Padded to 256 bytes it is a translation table, so
-    ``codes[j].translate(tables[i])`` is the code of x_i after x_j.
-    """
-    n = monoid.degree
-    codes = [bytes([n if t is None else t for t in p.targets] + [n]) for p in monoid.elements]
-    pad = bytes(_MAX_CODE_DEGREE - n)
-    return codes, [code + pad for code in codes], {code: i for i, code in enumerate(codes)}
-
-
-def _inverse_codes(codes: list[bytes]) -> list[bytes]:
-    """The code of each coded element's inverse."""
-    inverses = []
-    for code in codes:
-        undefined = len(code) - 1
-        inv = bytearray([undefined]) * len(code)
-        for i, t in enumerate(code[:undefined]):
-            if t != undefined:
-                inv[t] = i
-        inverses.append(bytes(inv))
-    return inverses
-
-
-def _check_pairwise_caps(monoid: RennerMonoid, max_size: int) -> int:
-    """The number of elements, once it is known to fit the cap and the
-    degree fits a byte code."""
+def _check_pairwise_cap(monoid: RennerMonoid, max_size: int) -> int:
+    """The number of elements, once it is known to fit the cap."""
     n = len(monoid.elements)
     if n > max_size:
         raise SizeCapExceeded(f"pairwise closure over {n} elements exceeds cap {max_size}")
-    if monoid.degree > _MAX_CODE_DEGREE:
-        raise SizeCapExceeded(
-            f"pairwise closure on degree {monoid.degree} exceeds {_MAX_CODE_DEGREE}"
-        )
     return n
 
 
@@ -215,13 +179,14 @@ def sim_classes_bruteforce(monoid: RennerMonoid) -> ConjClassification:
     """Oracle: direct orbits of sigma -> w sigma w^{-1} over the unit group
     (conjugating by the generators suffices to close the orbits), on byte
     codes."""
-    codes, tables, index = _byte_codes(monoid)
-    uf = UnionFind(len(codes))
+    index = monoid.index_by_code
+    uf = UnionFind(monoid.order)
     # The generators are simple reflections, so each is its own inverse.
-    gens = [monoid.index_of(monoid.unit_for(g)) for g in monoid.group.generators]
-    for idx, table in enumerate(tables):
-        for g in gens:
-            uf.union(idx, index[codes[g].translate(table).translate(tables[g])])
+    gens = [(u.code, u.table) for u in map(monoid.unit_for, monoid.group.generators)]
+    for idx, x in enumerate(monoid.elements):
+        table = x.table
+        for code, g_table in gens:
+            uf.union(idx, index[code.translate(table).translate(g_table)])
     return _classes_by_label(monoid, map(uf.find, range(monoid.order)), "sim")
 
 
@@ -243,10 +208,12 @@ def semigroup_conjugacy_classes(
     relation is symmetric, and x = y pairs xx with itself), each product a
     byte-code translation.
 
-    Raises ``SizeCapExceeded`` above ``max_size`` elements or degree 255.
+    Raises ``SizeCapExceeded`` above ``max_size`` elements.
     """
-    n = _check_pairwise_caps(monoid, max_size)
-    codes, tables, index = _byte_codes(monoid)
+    n = _check_pairwise_cap(monoid, max_size)
+    codes = [p.code for p in monoid.elements]
+    tables = [p.table for p in monoid.elements]
+    index = monoid.index_by_code
     uf = UnionFind(n)
     for i in range(n):
         code_i, table_i = codes[i], tables[i]
@@ -264,16 +231,16 @@ def action_conjugacy_classes(
 
     The movers are grouped by domain, so the containment is tested once
     per domain, and each move is two byte-code translations.  Raises
-    ``SizeCapExceeded`` above ``max_size`` elements or degree 255.
+    ``SizeCapExceeded`` above ``max_size`` elements.
     """
-    n = _check_pairwise_caps(monoid, max_size)
-    codes, tables, index = _byte_codes(monoid)
+    n = _check_pairwise_cap(monoid, max_size)
+    index = monoid.index_by_code
     movers: dict[frozenset[int], list[tuple[bytes, bytes]]] = {}
-    for sigma, inv, table in zip(monoid.elements, _inverse_codes(codes), tables):
-        movers.setdefault(sigma.domain, []).append((inv, table))
+    for sigma in monoid.elements:
+        movers.setdefault(sigma.domain, []).append((inverse(sigma).code, sigma.table))
     uf = UnionFind(n)
     for xi, x in enumerate(monoid.elements):
-        needed, table_x = stable_domain(x), tables[xi]
+        needed, table_x = stable_domain(x), x.table
         for domain, moves in movers.items():
             if needed <= domain:
                 for inv, table in moves:

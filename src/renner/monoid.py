@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .crosslat import CrossIdempotent, CrossSectionLattice, build_lattice
 from .errors import ConstructionError, NotInOrbit, SizeCapExceeded, ZeroElement
-from .partialinj import PartialInjection, compose, inverse, stable_domain
+from .partialinj import MAX_DEGREE, PartialInjection, compose, inverse, stable_domain
 from .rootsys import DEFAULT_MAX_GROUP_ORDER, CartanMatrix, Weight, WeylElement, bfs_orbit
 from .rootsys import generate_weyl, parabolic
 
@@ -54,7 +54,8 @@ class RennerMonoid:
     and the units last, in ``group.elements`` order.  Each stratum is one
     contiguous index range, ordered by domain face in face-orbit order, then
     by canonical unit in (length, word) order.  ``canonical_units`` is
-    aligned with ``elements``, and ``transporters`` maps every face to the
+    aligned with ``elements``, ``index_by_code`` maps each element's byte
+    code to its index, and ``transporters`` maps every face to the
     shortest unit carrying its lattice face onto it.  Everything is fixed at
     construction, so instances are safe to share.
     """
@@ -79,13 +80,12 @@ class RennerMonoid:
         self.face_to_idem = {f: e for e in lattice for f in face_orbits[e.index]}
         self.strata = strata
         self.transporters = transporters
-        self._index = {p: i for i, p in enumerate(elements)}
+        self.index_by_code = {p.code: i for i, p in enumerate(elements)}
         degree = len(vertices)
         self.zero = PartialInjection.zero(degree)
         self.one = PartialInjection.identity(degree)
         self.units = tuple(elements[i] for i in strata[lattice.one.index])
         self._unit_by_perm = {w.perm: u for w, u in zip(group.elements, self.units)}
-        self._weyl_by_unit = dict(zip(self.units, group.elements))
         self._idem_maps = {
             e.index: PartialInjection.partial_identity(degree, self.face(e))
             for e in lattice.idempotents
@@ -106,10 +106,10 @@ class RennerMonoid:
         return iter(self.elements)
 
     def __contains__(self, sigma: PartialInjection) -> bool:
-        return sigma in self._index
+        return sigma.code in self.index_by_code
 
     def index_of(self, sigma: PartialInjection) -> int:
-        return self._index[sigma]
+        return self.index_by_code[sigma.code]
 
     def face(self, e: CrossIdempotent) -> frozenset[int]:
         """The orbit of the weight (vertex 0) under e's lambda_star
@@ -118,12 +118,6 @@ class RennerMonoid:
 
     def unit_for(self, w: WeylElement) -> PartialInjection:
         return self._unit_by_perm[w.perm]
-
-    def weyl_for(self, unit: PartialInjection) -> WeylElement:
-        return self._weyl_by_unit[unit]
-
-    def is_unit(self, sigma: PartialInjection) -> bool:
-        return sigma in self._weyl_by_unit
 
     def idempotent_map(self, e: CrossIdempotent) -> PartialInjection:
         """The partial identity on the face of e (zero map for e = 0)."""
@@ -135,13 +129,6 @@ class RennerMonoid:
 
     def stratum_elements(self, e: CrossIdempotent) -> tuple[PartialInjection, ...]:
         return tuple(self.elements[i] for i in self.strata[e.index])
-
-    def conjugate_by_unit(
-        self, w: WeylElement, sigma: PartialInjection
-    ) -> PartialInjection:
-        """w sigma w^{-1} inside the monoid."""
-        u = self._unit_by_perm[w.perm]
-        return compose(u, compose(sigma, self._unit_by_perm[self.group.inv(w).perm]))
 
 
 def check_monoid_cap(lattice: CrossSectionLattice, max_monoid_order: int) -> None:
@@ -173,16 +160,20 @@ def build_renner(
     orbit order and units in (length, word) order.  The first unit to give a
     map is its canonical unit; on e's own face, the first unit carrying it
     onto a face is that face's transporter.  The cap is checked against the
-    closed-form order before any element is made, face inclusion must be
-    the lattice order, and every stratum must have its closed-form size.
+    closed-form order before any element is made, and a weight orbit past
+    ``MAX_DEGREE`` points, which no byte code holds, is refused as soon as
+    it is generated; face inclusion must be the lattice order, and every
+    stratum must have its closed-form size.
     """
     lattice = build_lattice(cartan, mu, max_group_order=max_group_order)
     check_monoid_cap(lattice, max_monoid_order)
     group = lattice.group
     on_weight = generate_weyl(cartan, lattice.weight_spec.mu, max_order=max_group_order)
+    degree = on_weight.degree
+    if degree > MAX_DEGREE:
+        raise SizeCapExceeded(f"weight orbit of degree {degree} exceeds {MAX_DEGREE} points")
     if [w.word for w in on_weight.elements] != [w.word for w in group.elements]:
         raise ConstructionError("the weight orbit lists the Weyl group in another order")
-    degree = on_weight.degree
 
     def seed_orbit(indices: frozenset[int]) -> frozenset[int]:
         return frozenset(w.perm[0] for w in parabolic(on_weight, indices).members)
@@ -209,6 +200,7 @@ def build_renner(
     strata: dict[int, tuple[int, ...]] = {}
     transporters: dict[frozenset[int], FaceTransporter] = {}
     face_moves = [partial(_move_face, g.perm) for g in on_weight.generators]
+    unit_tables = [PartialInjection.from_targets(u.perm).table for u in on_weight.elements]
     for e in lattice.idempotents:  # lattice order, the zero first
         base = faces[e]
         orbit = bfs_orbit(base, face_moves)
@@ -217,14 +209,14 @@ def build_renner(
             if face in seen_faces:
                 raise ConstructionError("face orbits of distinct idempotents overlap")
             seen_faces.add(face)
-            keep = [i in face for i in range(degree)]
-            made: set[tuple[Optional[int], ...]] = set()
-            for w, u in zip(group.elements, on_weight.elements):  # (length, word) order
-                targets = tuple([t if k else None for t, k in zip(u.perm, keep)])
-                if targets in made:
+            face_code = PartialInjection.partial_identity(degree, face).code
+            made: set[bytes] = set()
+            for w, table in zip(group.elements, unit_tables):  # (length, word) order
+                code = face_code.translate(table)  # the unit after the face's identity
+                if code in made:
                     continue
-                made.add(targets)
-                sigma = PartialInjection(targets)
+                made.add(code)
+                sigma = PartialInjection(code)
                 elements.append(sigma)
                 canonical_units.append(w)
                 # The first unit with a given image of e's face makes a new map.

@@ -1,8 +1,12 @@
 """Partial injective maps on {0, ..., n-1}: the ambient rook monoid.
 
-A map is stored densely: ``targets[i]`` is the image of i, or None where the
-map is undefined.  Values are immutable and hashable.  Composition follows
-the function convention, so ``compose(tau, sigma)`` applies sigma first.
+A map of degree n is its byte code, n + 1 bytes long: entry i is the image
+of i, or n where the map is undefined, and the last entry maps n to itself.
+Padded to 256 bytes the code is a ``bytes.translate`` table (``table``), so
+``sigma.code.translate(tau.table)`` is the code of tau after sigma; a byte
+holds at most ``MAX_DEGREE`` = 255 points besides the "undefined" one.
+Values are immutable and hashable.  Composition follows the function
+convention, so ``compose(tau, sigma)`` applies sigma first.
 """
 
 from __future__ import annotations
@@ -11,32 +15,46 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
+MAX_DEGREE = 255
+
 
 @dataclass(frozen=True)
 class PartialInjection:
-    targets: tuple[Optional[int], ...]
+    code: bytes
 
     def __post_init__(self):
-        n = len(self.targets)
-        hit: set[int] = set()
-        for t in self.targets:
-            if t is None:
-                continue
-            if not 0 <= t < n or t in hit:
-                raise ValueError("targets must map injectively into range")
-            hit.add(t)
+        code = self.code
+        if not isinstance(code, bytes):
+            raise TypeError("a partial injection is made from its byte code")
+        n = len(code) - 1
+        if not 0 <= n <= MAX_DEGREE:
+            raise ValueError(f"degree {n} is outside 0..{MAX_DEGREE}")
+        if code[n] != n:
+            raise ValueError("the last byte must map the degree to itself")
+        if max(code) > n:
+            raise ValueError("targets must lie in range")
+        # Every defined target is distinct exactly when the set of bytes has
+        # one entry per defined point plus one for n.
+        if len(set(code)) + code.count(n) != n + 2:
+            raise ValueError("targets must be distinct")
 
     @property
     def degree(self) -> int:
-        return len(self.targets)
+        return len(self.code) - 1
+
+    @property
+    def table(self) -> bytes:
+        """The code padded to a 256-byte translation table."""
+        return self.code + bytes(MAX_DEGREE - self.degree)
 
     @cached_property
     def domain(self) -> frozenset[int]:
-        return frozenset(i for i, t in enumerate(self.targets) if t is not None)
+        n = self.degree
+        return frozenset(i for i, t in enumerate(self.code) if t != n)
 
     @cached_property
     def image(self) -> frozenset[int]:
-        return frozenset(t for t in self.targets if t is not None)
+        return frozenset(self.code) - {self.degree}
 
     @property
     def rank(self) -> int:
@@ -44,22 +62,28 @@ class PartialInjection:
         return len(self.domain)
 
     def __call__(self, i: int) -> Optional[int]:
-        return self.targets[i]
+        t = self.code[i]
+        return None if t == self.degree else t
 
-    def __mul__(self, other: "PartialInjection") -> "PartialInjection":
-        return compose(self, other)
-
-    def __invert__(self) -> "PartialInjection":
-        return inverse(self)
+    @classmethod
+    def from_targets(cls, targets: Iterable[Optional[int]]) -> "PartialInjection":
+        """The map sending i to ``targets[i]``, undefined where that is None."""
+        targets = list(targets)
+        n = len(targets)
+        if n > MAX_DEGREE:
+            raise ValueError(f"degree {n} exceeds {MAX_DEGREE}")
+        if not all(t is None or 0 <= t < n for t in targets):
+            raise ValueError("targets must lie in range")
+        return cls(bytes([n if t is None else t for t in targets] + [n]))
 
     @classmethod
     def zero(cls, degree: int) -> "PartialInjection":
         """The empty map."""
-        return cls((None,) * degree)
+        return cls.from_targets([None] * degree)
 
     @classmethod
     def identity(cls, degree: int) -> "PartialInjection":
-        return cls(tuple(range(degree)))
+        return cls.from_targets(range(degree))
 
     @classmethod
     def partial_identity(cls, degree: int, fixed: Iterable[int]) -> "PartialInjection":
@@ -67,7 +91,7 @@ class PartialInjection:
         keep = set(fixed)
         if not keep <= set(range(degree)):
             raise ValueError("fixed points must lie in range")
-        return cls(tuple(i if i in keep else None for i in range(degree)))
+        return cls.from_targets(i if i in keep else None for i in range(degree))
 
     @classmethod
     def from_pairs(
@@ -80,11 +104,12 @@ class PartialInjection:
             if t[s] is not None:
                 raise ValueError(f"duplicate source {s}")
             t[s] = d
-        return cls(tuple(t))
+        return cls.from_targets(t)
 
     def to_pairs(self) -> list[list[int]]:
         """JSON-ready [source, target] pairs sorted by source."""
-        return [[i, t] for i, t in enumerate(self.targets) if t is not None]
+        n = self.degree
+        return [[i, t] for i, t in enumerate(self.code) if t != n]
 
 
 def compose(tau: PartialInjection, sigma: PartialInjection) -> PartialInjection:
@@ -97,8 +122,7 @@ def compose(tau: PartialInjection, sigma: PartialInjection) -> PartialInjection:
     """
     if tau.degree != sigma.degree:
         raise ValueError("cannot compose maps of different degrees")
-    tt = tau.targets
-    return PartialInjection(tuple(tt[t] if t is not None else None for t in sigma.targets))
+    return PartialInjection(sigma.code.translate(tau.table))
 
 
 def inverse(sigma: PartialInjection) -> PartialInjection:
@@ -109,11 +133,12 @@ def inverse(sigma: PartialInjection) -> PartialInjection:
     >>> inverse(s).to_pairs()
     [[3, 1], [4, 0]]
     """
-    t: list[Optional[int]] = [None] * sigma.degree
-    for i, ti in enumerate(sigma.targets):
-        if ti is not None:
-            t[ti] = i
-    return PartialInjection(tuple(t))
+    n = sigma.degree
+    code = bytearray([n]) * (n + 1)
+    for i, t in enumerate(sigma.code[:n]):
+        if t != n:
+            code[t] = i
+    return PartialInjection(bytes(code))
 
 
 def natural_leq(sigma: PartialInjection, tau: PartialInjection) -> bool:
@@ -124,25 +149,23 @@ def natural_leq(sigma: PartialInjection, tau: PartialInjection) -> bool:
     """
     if sigma.degree != tau.degree:
         raise ValueError("cannot compare maps of different degrees")
-    return all(
-        tau.targets[i] == t for i, t in enumerate(sigma.targets) if t is not None
-    )
+    return all(tau.code[i] == sigma.code[i] for i in sigma.domain)
 
 
 def restrict(sigma: PartialInjection, keep: Iterable[int]) -> PartialInjection:
     """Forget every source outside ``keep``; values are unchanged."""
     kept = set(keep)
-    if not all(0 <= i < sigma.degree for i in kept):
+    n = sigma.degree
+    if not all(0 <= i < n for i in kept):
         raise ValueError("keep points must lie in range")
-    return PartialInjection(
-        tuple(t if i in kept else None for i, t in enumerate(sigma.targets))
-    )
+    return PartialInjection(bytes(t if i in kept else n for i, t in enumerate(sigma.code)))
 
 
 def is_idempotent(sigma: PartialInjection) -> bool:
     """True exactly for partial identities (the only idempotent partial
     injections)."""
-    return all(t == i for i, t in enumerate(sigma.targets) if t is not None)
+    code = sigma.code
+    return all(code[i] == i for i in sigma.domain)
 
 
 def stable_domain(sigma: PartialInjection) -> frozenset[int]:
@@ -151,9 +174,10 @@ def stable_domain(sigma: PartialInjection) -> frozenset[int]:
     Shrinks the domain until it is sigma-invariant; at most ``degree``
     rounds.  sigma restricted to this set permutes it.
     """
+    code = sigma.code
     dom = set(sigma.domain)
     while True:
-        nxt = {i for i in dom if sigma.targets[i] in dom}
+        nxt = {i for i in dom if code[i] in dom}
         if nxt == dom:
             return frozenset(dom)
         dom = nxt

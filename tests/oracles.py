@@ -25,7 +25,7 @@ def all_partial_injections(n):
                 targets = [None] * n
                 for s, d in zip(dom, img):
                     targets[s] = d
-                out.append(PartialInjection(tuple(targets)))
+                out.append(PartialInjection.from_targets(targets))
     return out
 
 

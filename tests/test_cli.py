@@ -161,6 +161,13 @@ def test_cap_exceeded_exit_3(capsys, monkeypatch):
             "--max-monoid-order", "300",
         )
         assert code == 3 and out == "" and "error:" in err, command
+    # Canonical B4's 384-point weight orbit fits no byte code, so it is
+    # refused once the orbit is generated, still before any element.
+    code, out, err = run(
+        capsys, "build", "--type", "B4", "--weight", "1,1,1,1",
+        "--max-monoid-order", "1000000",
+    )
+    assert code == 3 and out == "" and "degree 384" in err
 
 
 def _no_matrix(*args):

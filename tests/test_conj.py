@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import pytest
 
 from conftest import make_monoid
@@ -22,7 +20,6 @@ from renner import (
     stratum_orbit_reports,
     subrank,
 )
-from renner.conj import _byte_codes, _inverse_codes
 from renner.partialinj import PartialInjection, inverse, stable_domain
 
 
@@ -304,32 +301,6 @@ def test_pairwise_caps():
         semigroup_conjugacy_classes(R, max_size=10)
     with pytest.raises(SizeCapExceeded):
         action_conjugacy_classes(R, max_size=10)
-
-
-def test_pairwise_closures_refuse_degrees_past_a_byte():
-    stub = SimpleNamespace(degree=256, elements=(PartialInjection.identity(256),))
-    for oracle in (semigroup_conjugacy_classes, action_conjugacy_classes):
-        with pytest.raises(SizeCapExceeded, match="degree 256 exceeds 255"):
-            oracle(stub)
-
-
-def test_byte_codes_compose_and_invert(canonical_b2):
-    R = canonical_b2
-    n = R.degree
-    codes, tables, index = _byte_codes(R)
-
-    def decode(code):
-        assert len(code) == n + 1 and code[n] == n
-        return PartialInjection(tuple(None if t == n else t for t in code[:n]))
-
-    assert [decode(code) for code in codes] == list(R.elements)
-    assert all(len(table) == 256 for table in tables)
-    assert [index[code] for code in codes] == list(range(R.order))
-    for x, table in zip(R.elements, tables):
-        for y, code in zip(R.elements, codes):
-            assert decode(code.translate(table)) == compose(x, y)
-    for x, inv in zip(R.elements, _inverse_codes(codes)):
-        assert decode(inv) == inverse(x)
 
 
 def test_classification_json(basic_a2):

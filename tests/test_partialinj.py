@@ -22,10 +22,28 @@ def test_enumeration_count():
 
 
 def test_constructor_validation():
+    # The old tuple form fails loudly rather than being read as a code.
+    with pytest.raises(TypeError):
+        PartialInjection((1, 0, 2))
+    for code in (
+        bytes([1, 0, 2, 2]),  # the last byte is not the degree 3
+        bytes([1, 4, 2, 3]),  # a target above the degree
+        bytes([1, 1, 2, 3]),  # a repeated target
+        b"",
+    ):
+        with pytest.raises(ValueError):
+            PartialInjection(code)
+    assert PartialInjection(bytes([1, 3, 0, 3])).to_pairs() == [[0, 1], [2, 0]]
     with pytest.raises(ValueError):
-        PartialInjection((0, 0, None))
+        PartialInjection.from_targets((0, 0, None))
     with pytest.raises(ValueError):
-        PartialInjection((3, None, None))
+        PartialInjection.from_targets((3, None, None))
+    # A byte code holds at most 255 points besides "undefined".
+    assert PartialInjection.from_targets(range(255)).degree == 255
+    with pytest.raises(ValueError):
+        PartialInjection.from_targets(range(256))
+    with pytest.raises(ValueError):
+        PartialInjection.zero(256)
     with pytest.raises(ValueError):
         PartialInjection.from_pairs(3, [(0, 1), (0, 2)])
     # Sources out of range are rejected, not wrapped, dropped or left to
@@ -36,6 +54,27 @@ def test_constructor_validation():
         PartialInjection.from_pairs(3, [(5, 0)])
     with pytest.raises(ValueError):
         PartialInjection.partial_identity(3, [0, 7])
+
+
+def _as_dict(sigma):
+    return dict(map(tuple, sigma.to_pairs()))
+
+
+def _from_dict(degree, mapping):
+    return PartialInjection.from_pairs(degree, mapping.items())
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_compose_and_inverse_match_a_pair_reference(degree):
+    maps = all_partial_injections(degree)
+    assert len(maps) == {3: 34, 4: 209}[degree]
+    as_dicts = [_as_dict(sigma) for sigma in maps]
+    for tau, t in zip(maps, as_dicts):
+        for sigma, s in zip(maps, as_dicts):
+            after = {i: t[j] for i, j in s.items() if j in t}
+            assert compose(tau, sigma) == _from_dict(degree, after)
+    for sigma, s in zip(maps, as_dicts):
+        assert inverse(sigma) == _from_dict(degree, {j: i for i, j in s.items()})
 
 
 def test_identity_and_zero_laws():
@@ -133,7 +172,7 @@ def test_is_idempotent_matches_squaring():
         assert is_idempotent(sigma) == (compose(sigma, sigma) == sigma)
     assert is_idempotent(PartialInjection.zero(3))
     assert is_idempotent(PartialInjection.identity(3))
-    swap = PartialInjection((1, 0, 2))
+    swap = PartialInjection.from_targets((1, 0, 2))
     assert not is_idempotent(swap)
 
 
@@ -148,7 +187,7 @@ def test_invertible_part_six_point_example():
 def test_invertible_part_fixed_cases():
     e = PartialInjection.partial_identity(4, [1, 2])
     assert invertible_part(e) == e
-    unit = PartialInjection((2, 0, 1, 3))
+    unit = PartialInjection.from_targets((2, 0, 1, 3))
     assert invertible_part(unit) == unit
     nilpotent = PartialInjection.from_pairs(3, [(0, 1)])
     assert invertible_part(nilpotent) == PartialInjection.zero(3)
