@@ -4,10 +4,10 @@ Four equivalences are computed: unit conjugacy (orbits of sigma under
 sigma -> w sigma w^{-1}), Munn conjugacy (unit conjugacy of invertible
 parts), semigroup conjugacy (transitive closure of xy ~ yx), and action
 conjugacy (transitive closure of the partial conjugation action).  Each
-element's unit-conjugacy class is read off its normal form through the
-coset orbits of its stratum, and its Munn class is the unit-conjugacy class
-of its invertible part; brute force validates them in the test suite.  The
-class and representation counts need only the cross-section lattice.
+stratum is one equal block per face, so an element's unit-conjugacy class
+is read off its canonical unit and its block's transporter; its Munn class
+is that of its invertible part, found from a power of its byte code.  Brute
+force validates them in the test suite; the counts need only the lattice.
 
 The pairwise semigroup and action closures, and the brute-force sim oracle,
 work on the elements' byte codes: a product is one ``bytes.translate`` of a
@@ -129,15 +129,20 @@ def _sim_labels(monoid: RennerMonoid) -> list[tuple[int, int]]:
     An element with canonical unit c, whose domain is e's face moved by the
     transporter t, is c t e t^{-1}, unit conjugate to (t^{-1} c t) e; and
     u e ~ v e exactly when u W_*(e) and v W_*(e) lie in one W(e)-orbit.
+    The stratum is one equal block per face of e's orbit, in that order.
     """
     group = monoid.group
+    units = monoid.canonical_units
     labels: list[tuple[int, int]] = [(0, 0)] * monoid.order
     for e in monoid.lattice.idempotents:
         orbit_of = _coset_orbits(monoid.lattice, e)[1]
-        for i in monoid.strata[e.index]:
-            t = monoid.transporters[monoid.elements[i].domain].unit
-            moved = group.mul(group.mul(group.inv(t), monoid.canonical_units[i]), t)
-            labels[i] = (e.index, orbit_of[moved])
+        stratum, faces = monoid.strata[e.index], monoid.face_orbits[e.index]
+        block = len(stratum) // len(faces)
+        for k, face in enumerate(faces):
+            t = monoid.transporters[face].unit
+            t_inv = group.inv(t)
+            for i in stratum[k * block:(k + 1) * block]:
+                labels[i] = (e.index, orbit_of[group.mul(group.mul(t_inv, units[i]), t)])
     return labels
 
 
@@ -167,11 +172,11 @@ def _classes_by_label(
     return ConjClassification(kind, classes, reps, strata)
 
 
-def _check_pairwise_cap(monoid: RennerMonoid, max_size: int) -> int:
+def _check_pairwise_cap(monoid: RennerMonoid) -> int:
     """The number of elements, once it is known to fit the cap."""
-    n = len(monoid.elements)
-    if n > max_size:
-        raise SizeCapExceeded(f"pairwise closure over {n} elements exceeds cap {max_size}")
+    n, cap = len(monoid.elements), DEFAULT_PAIRWISE_CAP
+    if n > cap:
+        raise SizeCapExceeded(f"pairwise closure over {n} elements exceeds cap {cap}")
     return n
 
 
@@ -200,17 +205,15 @@ def munn_classes(monoid: RennerMonoid) -> ConjClassification:
     return _classes_by_label(monoid, labels, "munn")
 
 
-def semigroup_conjugacy_classes(
-    monoid: RennerMonoid, max_size: int = DEFAULT_PAIRWISE_CAP
-) -> ConjClassification:
+def semigroup_conjugacy_classes(monoid: RennerMonoid) -> ConjClassification:
     """Transitive closure of the primary relation pairing xy with yx, by
     union-find over the unordered pairs {x, y} of distinct elements (the
     relation is symmetric, and x = y pairs xx with itself), each product a
     byte-code translation.
 
-    Raises ``SizeCapExceeded`` above ``max_size`` elements.
+    Raises ``SizeCapExceeded`` above ``DEFAULT_PAIRWISE_CAP`` elements.
     """
-    n = _check_pairwise_cap(monoid, max_size)
+    n = _check_pairwise_cap(monoid)
     codes = [p.code for p in monoid.elements]
     tables = [p.table for p in monoid.elements]
     index = monoid.index_by_code
@@ -222,18 +225,16 @@ def semigroup_conjugacy_classes(
     return _classes_by_label(monoid, map(uf.find, range(n)), "semigroup", with_strata=False)
 
 
-def action_conjugacy_classes(
-    monoid: RennerMonoid, max_size: int = DEFAULT_PAIRWISE_CAP
-) -> ConjClassification:
+def action_conjugacy_classes(monoid: RennerMonoid) -> ConjClassification:
     """Transitive closure of the partial conjugation action: sigma moves x
     to sigma x sigma^{-1} whenever the stable domain of x sits inside the
     domain of sigma.
 
     The movers are grouped by domain, so the containment is tested once
     per domain, and each move is two byte-code translations.  Raises
-    ``SizeCapExceeded`` above ``max_size`` elements.
+    ``SizeCapExceeded`` above ``DEFAULT_PAIRWISE_CAP`` elements.
     """
-    n = _check_pairwise_cap(monoid, max_size)
+    n = _check_pairwise_cap(monoid)
     index = monoid.index_by_code
     movers: dict[frozenset[int], list[tuple[bytes, bytes]]] = {}
     for sigma in monoid.elements:

@@ -11,7 +11,6 @@ to the monoid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -41,7 +40,7 @@ class DominantWeightSpec:
         if any(c < 0 for c in self.mu):
             raise ValueError("weight must be dominant (no negative coordinates)")
 
-    @cached_property
+    @property
     def j0(self) -> frozenset[int]:
         """Indices of the simple roots pairing to zero with the weight."""
         return frozenset(i for i, c in enumerate(self.mu) if c == 0)

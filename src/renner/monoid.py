@@ -220,8 +220,8 @@ def build_renner(
                 elements.append(sigma)
                 canonical_units.append(w)
                 # The first unit with a given image of e's face makes a new map.
-                if face == base and sigma.image not in transporters:
-                    transporters[sigma.image] = FaceTransporter(sigma.image, face, w, sigma)
+                if face == base and (image := sigma.image) not in transporters:
+                    transporters[image] = FaceTransporter(image, face, w, sigma)
         face_orbits[e.index] = orbit
         strata[e.index] = tuple(range(start, len(elements)))
         # The top stratum's closed-form size is |W|, so this also pins the units.
@@ -315,13 +315,13 @@ def element_label(monoid: RennerMonoid, sigma: PartialInjection) -> str:
         return "0"
     form = normal_form(monoid, sigma)
     word = "".join(f"s{i + 1}" for i in form.unit.word) or "1"
-    if len(sigma.domain) == monoid.degree:
+    if len(form.domain_face) == monoid.degree:
         return word
-    idem = monoid.face_to_idem[sigma.domain]
-    if sigma.domain == monoid.face(idem):
+    idem = monoid.face_to_idem[form.domain_face]
+    if form.domain_face == monoid.face(idem):
         face = idem.label
     else:
-        face = "e[" + ",".join(str(i) for i in sorted(sigma.domain)) + "]"
+        face = "e[" + ",".join(str(i) for i in sorted(form.domain_face)) + "]"
     return face if word == "1" else f"{word}*{face}"
 
 

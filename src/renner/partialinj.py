@@ -12,10 +12,10 @@ convention, so ``compose(tau, sigma)`` applies sigma first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional
 
 MAX_DEGREE = 255
+_BYTES = bytes(range(MAX_DEGREE + 1))
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class PartialInjection:
             raise ValueError(f"degree {n} is outside 0..{MAX_DEGREE}")
         if code[n] != n:
             raise ValueError("the last byte must map the degree to itself")
-        if max(code) > n:
+        if code.translate(None, _BYTES[: n + 1]):  # a byte past n survives
             raise ValueError("targets must lie in range")
         # Every defined target is distinct exactly when the set of bytes has
         # one entry per defined point plus one for n.
@@ -47,19 +47,19 @@ class PartialInjection:
         """The code padded to a 256-byte translation table."""
         return self.code + bytes(MAX_DEGREE - self.degree)
 
-    @cached_property
+    @property
     def domain(self) -> frozenset[int]:
         n = self.degree
         return frozenset(i for i, t in enumerate(self.code) if t != n)
 
-    @cached_property
+    @property
     def image(self) -> frozenset[int]:
         return frozenset(self.code) - {self.degree}
 
     @property
     def rank(self) -> int:
         """Number of defined points."""
-        return len(self.domain)
+        return len(self.code) - self.code.count(self.degree)
 
     def __call__(self, i: int) -> Optional[int]:
         t = self.code[i]
@@ -169,25 +169,27 @@ def is_idempotent(sigma: PartialInjection) -> bool:
 
 
 def stable_domain(sigma: PartialInjection) -> frozenset[int]:
-    """Points whose forward orbit under sigma stays defined forever.
-
-    Shrinks the domain until it is sigma-invariant; at most ``degree``
-    rounds.  sigma restricted to this set permutes it.
-    """
-    code = sigma.code
-    dom = set(sigma.domain)
-    while True:
-        nxt = {i for i in dom if code[i] in dom}
-        if nxt == dom:
-            return frozenset(dom)
-        dom = nxt
+    """Points whose forward orbit under sigma stays defined forever: the
+    domain of the invertible part, on which sigma is a permutation."""
+    return invertible_part(sigma).domain
 
 
 def invertible_part(sigma: PartialInjection) -> PartialInjection:
     """Restriction of sigma to its stable domain: a bijection of that set.
 
+    A point off every cycle leaves the domain within ``degree`` steps, so
+    sigma^(2^k) with 2^k > degree, found by k squarings, is defined exactly
+    on the cycles; its inverse after it is the partial identity there.
+
     >>> s = PartialInjection.from_pairs(6, [(0, 4), (4, 5), (5, 0), (1, 3)])
     >>> sorted(invertible_part(s).domain)
     [0, 4, 5]
     """
-    return restrict(sigma, stable_domain(sigma))
+    n = sigma.degree
+    pad = bytes(MAX_DEGREE - n)
+    power, steps = sigma.code, 1
+    while steps <= n:
+        power, steps = power.translate(power + pad), 2 * steps
+    # maketrans sends each image back to its source: the inverse's table.
+    cycles = power.translate(bytes.maketrans(power, _BYTES[: n + 1]))
+    return PartialInjection(cycles.translate(sigma.table))

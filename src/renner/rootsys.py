@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
@@ -301,12 +301,9 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    @cached_property
-    def member_set(self) -> frozenset[WeylElement]:
-        return frozenset(self.members)
-
     def __contains__(self, w: WeylElement) -> bool:
-        return w in self.member_set
+        """Read off the stored reduced word, as ``parabolic`` does."""
+        return w in self.parent and self.generator_indices.issuperset(w.word)
 
 
 def parabolic(group: WeylGroup, indices: Iterable[int]) -> Subgroup:

@@ -20,6 +20,8 @@ from renner import (
     stratum_orbit_reports,
     subrank,
 )
+from renner.conj import DEFAULT_PAIRWISE_CAP
+from renner.monoid import element_label
 from renner.partialinj import PartialInjection, inverse, stable_domain
 
 
@@ -296,11 +298,35 @@ def test_r2_sim_and_rep_counts(basic_a1):
 
 
 def test_pairwise_caps():
-    R = make_monoid("A", 2, (1, 0))
+    R = make_monoid("B", 3, (1, 1, 1))
+    assert R.order == 7057 > DEFAULT_PAIRWISE_CAP
     with pytest.raises(SizeCapExceeded):
-        semigroup_conjugacy_classes(R, max_size=10)
+        semigroup_conjugacy_classes(R)
     with pytest.raises(SizeCapExceeded):
-        action_conjugacy_classes(R, max_size=10)
+        action_conjugacy_classes(R)
+
+
+def test_classifications_leave_elements_as_bare_codes(basic_b2):
+    # Nothing is cached on first use: an element holds its code and no more.
+    R = basic_b2
+    for classify in (sim_conjugacy_classes, munn_classes, action_conjugacy_classes):
+        classify(R)
+    for p in R.elements:
+        element_label(R, p)
+    assert all(vars(p) == {"code": p.code} for p in R.elements)
+    spec = R.lattice.weight_spec
+    assert vars(spec) == {"mu": spec.mu}
+
+
+@pytest.mark.parametrize(
+    "letter, rank, weight, sim, munn",
+    [("D", 4, (1, 0, 0, 0), 111, 30), ("A", 4, (1, 1, 1, 1), 650, 60)],
+)
+def test_element_level_counts_past_the_small_grid(letter, rank, weight, sim, munn):
+    # A4 canonical has degree 120, so its invertible parts take 7 squarings.
+    R = make_monoid(letter, rank, weight)
+    assert sim_conjugacy_classes(R).class_count == count_sim_classes(R.lattice) == sim
+    assert munn_classes(R).class_count == irreducible_rep_count(R.lattice) == munn
 
 
 def test_classification_json(basic_a2):

@@ -114,7 +114,7 @@ def test_centralizer_is_internal_product_of_star_and_stabilizer():
             products = {
                 group.mul(u, v) for u in star.members for v in stab.members
             }
-            assert products == cent.member_set
+            assert products == set(cent.members)
             # The stabilizer is normal in the centralizer.
             for w in cent.members:
                 for v in stab.members:

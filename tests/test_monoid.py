@@ -82,6 +82,14 @@ def test_strata_have_their_closed_form_sizes(small_grid):
     for config, R in built:
         for e in R.lattice.idempotents:
             assert len(R.strata[e.index]) == R.lattice.stratum_size(e), config
+            # One equal consecutive block per face, in face-orbit order: the
+            # layout the sim labels read.
+            stratum, faces = R.strata[e.index], R.face_orbits[e.index]
+            block, rest = divmod(len(stratum), len(faces))
+            assert rest == 0 and stratum == tuple(range(stratum[0], stratum[-1] + 1))
+            for k, face in enumerate(faces):
+                for i in stratum[k * block:(k + 1) * block]:
+                    assert R.elements[i].domain == face, (config, e.label, k)
         # The enumeration makes exactly the generator closure, and each
         # stratum is the double coset W e W inside it.
         units = [R.unit_for(w) for w in R.group.elements]

@@ -191,12 +191,39 @@ def test_invertible_part_fixed_cases():
     assert invertible_part(unit) == unit
     nilpotent = PartialInjection.from_pairs(3, [(0, 1)])
     assert invertible_part(nilpotent) == PartialInjection.zero(3)
+    # At the byte limit: a 200-cycle beside a 55-point chain running off the
+    # domain (its last point undefined), and a single 255-cycle.
+    cycle = [(i, (i + 1) % 200) for i in range(200)]
+    chain = [(i, i + 1) for i in range(200, 254)]
+    sigma = PartialInjection.from_pairs(255, cycle + chain)
+    assert invertible_part(sigma) == PartialInjection.from_pairs(255, cycle)
+    assert stable_domain(sigma) == frozenset(range(200))
+    full = PartialInjection.from_targets((i + 1) % 255 for i in range(255))
+    assert invertible_part(full) == full
+
+
+def naive_stable_domain(sigma):
+    """Points still defined after ``degree`` steps of sigma, walked one by one."""
+    stable = set()
+    for start in range(sigma.degree):
+        i = start
+        for _ in range(sigma.degree):
+            i = sigma(i)
+            if i is None:
+                break
+        else:
+            stable.add(start)
+    return frozenset(stable)
 
 
 def test_invertible_part_is_bijection_of_stable_domain():
-    for sigma in R3:
-        part = invertible_part(sigma)
-        assert part.domain == part.image == stable_domain(sigma)
+    # Every partial injection on 0 to 5 points.
+    for degree in range(6):
+        for sigma in all_partial_injections(degree):
+            naive = naive_stable_domain(sigma)
+            part = invertible_part(sigma)
+            assert part.domain == part.image == stable_domain(sigma) == naive
+            assert part == restrict(sigma, naive)
 
 
 def test_pairs_roundtrip():

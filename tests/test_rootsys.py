@@ -206,6 +206,11 @@ def test_min_coset_reps_tile_the_group():
                 factorizations.setdefault(w, []).append((u, v))
         assert set(factorizations) == set(group.elements)
         assert all(len(fs) == 1 for fs in factorizations.values())
+        # Membership is read off the stored word, and only in the parent.
+        members = set(sub.members)
+        assert all((w in sub) == (w in members) for w in group.elements)
+    other = generate_weyl(cartan_matrix("A", 2), (1, 1))
+    assert other.identity not in parabolic(group, (0, 1))
 
 
 # Published class counts of every supported full Weyl group.
