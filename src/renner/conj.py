@@ -4,10 +4,15 @@ Four equivalences are computed: unit conjugacy (orbits of sigma under
 sigma -> w sigma w^{-1}), Munn conjugacy (unit conjugacy of invertible
 parts), semigroup conjugacy (transitive closure of xy ~ yx), and action
 conjugacy (transitive closure of the partial conjugation action).  Each
-stratum is one equal block per face, so an element's unit-conjugacy class
-is read off its canonical unit and its block's transporter; its Munn class
-is that of its invertible part, found from a power of its byte code.  Brute
-force validates them in the test suite; the counts need only the lattice.
+stratum is one equal block per face.  The first block, on the idempotent's
+own face, lists the stabilizer cosets in order, so its unit-conjugacy
+classes are the coset orbits; every later block is the first conjugated by
+its face's transporter, so each of its elements takes the class of its
+conjugate there, found by two byte-code translations.  Unit-conjugate
+elements have unit-conjugate invertible parts, so each Munn label is read
+once per unit-conjugacy class, from the invertible part of its least
+member.  Brute force validates them in the test suite; the counts need
+only the lattice.
 
 The pairwise semigroup and action closures, and the brute-force sim oracle,
 work on the elements' byte codes: a product is one ``bytes.translate`` of a
@@ -22,10 +27,10 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional
 
 from .crosslat import CrossIdempotent, CrossSectionLattice
-from .errors import SizeCapExceeded
+from .errors import ConstructionError, SizeCapExceeded
 from .monoid import RennerMonoid, element_label
 from .partialinj import PartialInjection, inverse, invertible_part, stable_domain
-from .rootsys import WeylElement, group_conjugacy_classes, left_cosets
+from .rootsys import group_conjugacy_classes, left_cosets
 
 # Pairwise oracles are O(|R|^2); keep them desk-scale by default.
 DEFAULT_PAIRWISE_CAP = 2000
@@ -89,14 +94,14 @@ class ConjClassification:
 
 def _coset_orbits(
     lattice: CrossSectionLattice, e: CrossIdempotent
-) -> tuple[OrbitReport, dict[WeylElement, int]]:
+) -> tuple[OrbitReport, tuple[int, ...]]:
     """Orbits of the centralizer on the left cosets of the stabilizer,
-    acting by conjugation, and the orbit of every group element's coset,
+    acting by conjugation, and the orbit of each coset, in coset order,
     named by its least coset's number.  The zero stratum is the single class
     of 0, whose element's normal form has only the identity as unit."""
     group = lattice.group
     if e.is_zero:
-        return OrbitReport(e, 1, 1, (1,)), {group.identity: 0}
+        return OrbitReport(e, 1, 1, (1,)), (0,)
     coset_min, coset_of = left_cosets(lattice.stabilizer(e))
     uf = UnionFind(len(coset_min))
     cent_gens = [group.generators[j] for j in sorted(e.lambda_set)]
@@ -105,11 +110,11 @@ def _coset_orbits(
             uf.union(cid, coset_of[group.conjugate(g, u)])
     # Each root is its orbit's least coset number, and coset_min is in
     # (length, word) order, so the roots name the orbits' least members and
-    # first appear in increasing order.
-    roots = [uf.find(cid) for cid in range(len(coset_min))]
+    # first appear in increasing order; munn_classes finds each class's
+    # least element at its root's place in the stratum's first block.
+    roots = tuple(uf.find(cid) for cid in range(len(coset_min)))
     sizes = Counter(roots)
-    report = OrbitReport(e, len(coset_min), len(sizes), tuple(sizes.values()))
-    return report, {w: roots[cid] for w, cid in coset_of.items()}
+    return OrbitReport(e, len(coset_min), len(sizes), tuple(sizes.values())), roots
 
 
 def stratum_orbit_reports(lattice: CrossSectionLattice) -> tuple[OrbitReport, ...]:
@@ -126,23 +131,32 @@ def count_sim_classes(lattice: CrossSectionLattice) -> int:
 def _sim_labels(monoid: RennerMonoid) -> list[tuple[int, int]]:
     """The unit-conjugacy class of every element, as (stratum, orbit).
 
-    An element with canonical unit c, whose domain is e's face moved by the
-    transporter t, is c t e t^{-1}, unit conjugate to (t^{-1} c t) e; and
-    u e ~ v e exactly when u W_*(e) and v W_*(e) lie in one W(e)-orbit.
     The stratum is one equal block per face of e's orbit, in that order.
+    The first block, on e's own face, holds u e for the least u of each
+    coset of W_*(e), in coset order, and u e ~ v e exactly when u W_*(e)
+    and v W_*(e) lie in one W(e)-orbit, so it takes the coset orbits as its
+    labels.  An element x of a later block, whose face is e's face moved by
+    the transporter t, is unit conjugate to t^{-1} x t in the first block.
     """
-    group = monoid.group
-    units = monoid.canonical_units
+    elements, index = monoid.elements, monoid.index_by_code
     labels: list[tuple[int, int]] = [(0, 0)] * monoid.order
     for e in monoid.lattice.idempotents:
-        orbit_of = _coset_orbits(monoid.lattice, e)[1]
+        roots = _coset_orbits(monoid.lattice, e)[1]
         stratum, faces = monoid.strata[e.index], monoid.face_orbits[e.index]
         block = len(stratum) // len(faces)
-        for k, face in enumerate(faces):
-            t = monoid.transporters[face].unit
-            t_inv = group.inv(t)
+        if len(roots) != block:
+            raise ConstructionError(
+                f"stratum {e.label} has {block} elements per face but {len(roots)} cosets"
+            )
+        first = stratum[0]
+        labels[first:first + block] = [(e.index, root) for root in roots]
+        for k in range(1, len(faces)):
+            t = monoid.unit_for(monoid.transporters[faces[k]].unit)
+            t_code, t_inv_table = t.code, inverse(t).table
             for i in stratum[k * block:(k + 1) * block]:
-                labels[i] = (e.index, orbit_of[group.mul(group.mul(t_inv, units[i]), t)])
+                # The code of t^{-1} after x after t.
+                code = t_code.translate(elements[i].table).translate(t_inv_table)
+                labels[i] = labels[index[code]]
     return labels
 
 
@@ -198,11 +212,19 @@ def sim_classes_bruteforce(monoid: RennerMonoid) -> ConjClassification:
 def munn_classes(monoid: RennerMonoid) -> ConjClassification:
     """Partition by the unit-conjugacy class of the invertible part, so
     each class lies over one subrank (those with zero invertible part over
-    the zero's)."""
+    the zero's).
+
+    Unit-conjugate elements have unit-conjugate invertible parts, so the
+    invertible part is taken once per sim class, of its least member: the
+    element at its root's place in its stratum's first block.
+    """
     sim = _sim_labels(monoid)
-    index = monoid.index_of
-    labels = [sim[index(invertible_part(sigma))] for sigma in monoid.elements]
-    return _classes_by_label(monoid, labels, "munn")
+    elements, index, strata = monoid.elements, monoid.index_of, monoid.strata
+    munn_of = {
+        (e, root): sim[index(invertible_part(elements[strata[e][0] + root]))]
+        for e, root in dict.fromkeys(sim)
+    }
+    return _classes_by_label(monoid, map(munn_of.__getitem__, sim), "munn")
 
 
 def semigroup_conjugacy_classes(monoid: RennerMonoid) -> ConjClassification:

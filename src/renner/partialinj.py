@@ -18,6 +18,13 @@ MAX_DEGREE = 255
 _BYTES = bytes(range(MAX_DEGREE + 1))
 
 
+def _check_degree(degree: int) -> None:
+    """Refuse a negative degree, which list and range arithmetic would
+    read as degree 0."""
+    if degree < 0:
+        raise ValueError(f"degree {degree} is negative")
+
+
 @dataclass(frozen=True)
 class PartialInjection:
     code: bytes
@@ -62,8 +69,11 @@ class PartialInjection:
         return len(self.code) - self.code.count(self.degree)
 
     def __call__(self, i: int) -> Optional[int]:
+        n = self.degree
+        if not 0 <= i < n:
+            raise IndexError(f"point {i} is outside 0..{n - 1}")
         t = self.code[i]
-        return None if t == self.degree else t
+        return None if t == n else t
 
     @classmethod
     def from_targets(cls, targets: Iterable[Optional[int]]) -> "PartialInjection":
@@ -79,15 +89,18 @@ class PartialInjection:
     @classmethod
     def zero(cls, degree: int) -> "PartialInjection":
         """The empty map."""
+        _check_degree(degree)
         return cls.from_targets([None] * degree)
 
     @classmethod
     def identity(cls, degree: int) -> "PartialInjection":
+        _check_degree(degree)
         return cls.from_targets(range(degree))
 
     @classmethod
     def partial_identity(cls, degree: int, fixed: Iterable[int]) -> "PartialInjection":
         """Identity on ``fixed``, undefined elsewhere."""
+        _check_degree(degree)
         keep = set(fixed)
         if not keep <= set(range(degree)):
             raise ValueError("fixed points must lie in range")
@@ -97,6 +110,7 @@ class PartialInjection:
     def from_pairs(
         cls, degree: int, pairs: Iterable[tuple[int, int]]
     ) -> "PartialInjection":
+        _check_degree(degree)
         t: list[Optional[int]] = [None] * degree
         for s, d in pairs:
             if not 0 <= s < degree:

@@ -4,12 +4,14 @@ Nothing here goes through the structured code paths under test: rook monoids
 are enumerated combinatorially, partitions are enumerated recursively, the
 B2 reflection group is realized by explicit signed permutations of Euclidean
 coordinates, and generated monoids and subgroups are closed by brute-force
-multiplication.  The Munn classes are also found by a second route, through
-projections onto the lambda_star parabolics and their conjugacy classes.
+multiplication.  The Munn classes are also found by two more routes: through
+projections onto the lambda_star parabolics and their conjugacy classes, and
+element by element, from the unit-conjugacy class of each invertible part.
 """
 
 from itertools import combinations, permutations
 
+from renner.conj import sim_classes_bruteforce
 from renner.monoid import project
 from renner.partialinj import PartialInjection, compose, invertible_part
 from renner.rootsys import group_conjugacy_classes
@@ -151,3 +153,17 @@ def munn_listing_by_star_groups(monoid):
         rep = monoid.elements[idxs[0]]
         listing.append((rep, len(idxs), monoid.stratum_of(rep)))
     return listing
+
+
+def munn_partition_by_invertible_parts(monoid):
+    """Munn classes as a partition: every element grouped by the
+    brute-force unit-conjugacy class of its own invertible part."""
+    class_of = {
+        sigma: cid
+        for cid, cls in enumerate(sim_classes_bruteforce(monoid).classes)
+        for sigma in cls
+    }
+    groups = {}
+    for sigma in monoid.elements:
+        groups.setdefault(class_of[invertible_part(sigma)], set()).add(sigma)
+    return frozenset(map(frozenset, groups.values()))

@@ -1,7 +1,11 @@
 import pytest
 
 from conftest import make_monoid
-from oracles import munn_listing_by_star_groups, partition_count
+from oracles import (
+    munn_listing_by_star_groups,
+    munn_partition_by_invertible_parts,
+    partition_count,
+)
 from renner import (
     SizeCapExceeded,
     action_conjugacy_classes,
@@ -20,6 +24,7 @@ from renner import (
     stratum_orbit_reports,
     subrank,
 )
+from renner import conj
 from renner.conj import DEFAULT_PAIRWISE_CAP
 from renner.monoid import element_label
 from renner.partialinj import PartialInjection, inverse, stable_domain
@@ -139,16 +144,36 @@ def test_munn_counts(basic_a2, basic_b2, canonical_a2):
 
 
 def test_independent_routes_agree_on_the_small_grid(small_grid):
-    # Sim labels come from the coset orbits and Munn labels from the sim
-    # labels of invertible parts; each is checked against a route that does
+    # Sim labels come from the coset orbits, and Munn labels from one
+    # invertible part per sim class; each is checked against routes that do
     # not read the coset orbits: brute-force unit conjugation, the
-    # lambda_star class tables, and the representation count.
+    # lambda_star class tables, the invertible part of every element, and
+    # the representation count.
     built, _ = small_grid
     for config, R in built:
-        assert listing(sim_conjugacy_classes(R)) == listing(sim_classes_bruteforce(R)), config
+        sim, brute = sim_conjugacy_classes(R), sim_classes_bruteforce(R)
+        assert listing(sim) == listing(brute), config
+        assert sim.partition() == brute.partition(), config
         munn = munn_classes(R)
         assert listing(munn) == munn_listing_by_star_groups(R), config
+        assert munn.partition() == munn_partition_by_invertible_parts(R), config
         assert munn.class_count == irreducible_rep_count(R.lattice), config
+
+
+def test_munn_takes_one_invertible_part_per_sim_class(canonical_a2, monkeypatch):
+    calls = []
+
+    def counted(sigma):
+        calls.append(sigma)
+        return invertible_part(sigma)
+
+    monkeypatch.setattr(conj, "invertible_part", counted)
+    munn = munn_classes(canonical_a2)
+    assert len(calls) == count_sim_classes(canonical_a2.lattice) == 18
+    # Each call is on its sim class's least element.
+    sim_reps = sim_conjugacy_classes(canonical_a2).representatives
+    assert calls == list(sim_reps)
+    assert munn.class_count == 9
 
 
 def test_munn_members_share_subrank(basic_b2):

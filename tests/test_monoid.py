@@ -15,6 +15,7 @@ from renner import (
     inverse,
     invertible_part,
     is_idempotent,
+    min_coset_reps,
     monoid_to_json,
     natural_leq,
     normal_form,
@@ -90,6 +91,12 @@ def test_strata_have_their_closed_form_sizes(small_grid):
             for k, face in enumerate(faces):
                 for i in stratum[k * block:(k + 1) * block]:
                     assert R.elements[i].domain == face, (config, e.label, k)
+            # The first block is u e for the least u of each coset of the
+            # stabilizer, in coset order: the sim labels write the coset
+            # orbits there as they stand.
+            if not e.is_zero:
+                first = [R.canonical_units[i] for i in stratum[:block]]
+                assert first == list(min_coset_reps(R.group, e.lambda_sub)), (config, e.label)
         # The enumeration makes exactly the generator closure, and each
         # stratum is the double coset W e W inside it.
         units = [R.unit_for(w) for w in R.group.elements]

@@ -54,6 +54,15 @@ def test_constructor_validation():
         PartialInjection.from_pairs(3, [(5, 0)])
     with pytest.raises(ValueError):
         PartialInjection.partial_identity(3, [0, 7])
+    # A negative degree is refused, not read as degree 0.
+    for make in (
+        lambda: PartialInjection.zero(-2),
+        lambda: PartialInjection.identity(-1),
+        lambda: PartialInjection.partial_identity(-1, []),
+        lambda: PartialInjection.from_pairs(-3, []),
+    ):
+        with pytest.raises(ValueError):
+            make()
 
 
 def _as_dict(sigma):
@@ -231,3 +240,15 @@ def test_pairs_roundtrip():
         pairs = sigma.to_pairs()
         assert pairs == sorted(pairs)
         assert PartialInjection.from_pairs(3, [tuple(p) for p in pairs]) == sigma
+
+
+def test_points_outside_the_degree_are_refused():
+    s = PartialInjection.from_targets([1, 0, None])
+    assert [s(i) for i in range(3)] == [1, 0, None]
+    # Negative points would wrap into the code, and 3 would read its last
+    # byte ("undefined").
+    for point in (-1, -3, 3, 4):
+        with pytest.raises(IndexError):
+            s(point)
+    with pytest.raises(IndexError):
+        PartialInjection.zero(0)(0)
