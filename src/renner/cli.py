@@ -67,7 +67,7 @@ def _type_and_weight(args: argparse.Namespace) -> tuple[CartanMatrix, tuple[int,
         coords = _parse_int_list(args.weight)
         if len(coords) != rank:
             raise ValueError(f"weight has {len(coords)} entries, expected {rank}")
-        spec = DominantWeightSpec.from_weight(coords)
+        spec = DominantWeightSpec(coords)
     else:
         indices = _parse_int_list(args.j0)
         for i in indices:
@@ -260,7 +260,8 @@ def _add_monoid_arguments(parser: argparse.ArgumentParser) -> None:
     which.add_argument(
         "--weight",
         help="comma-separated nonnegative integers (fundamental-weight "
-        "coordinates); only the zero pattern matters",
+        "coordinates); only the zero pattern matters, bar the weight and its "
+        "orbit that lattice and build print in JSON",
     )
     which.add_argument(
         "--j0",

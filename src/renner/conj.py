@@ -29,7 +29,7 @@ from typing import Hashable, Iterable, Optional
 from .crosslat import CrossIdempotent, CrossSectionLattice
 from .errors import ConstructionError, SizeCapExceeded
 from .monoid import RennerMonoid, element_label
-from .partialinj import PartialInjection, inverse, invertible_part, stable_domain
+from .partialinj import MAX_DEGREE, PartialInjection, inverse, invertible_part, stable_domain
 from .rootsys import group_conjugacy_classes, left_cosets
 
 # Pairwise oracles are O(|R|^2); keep them desk-scale by default.
@@ -139,6 +139,7 @@ def _sim_labels(monoid: RennerMonoid) -> list[tuple[int, int]]:
     the transporter t, is unit conjugate to t^{-1} x t in the first block.
     """
     elements, index = monoid.elements, monoid.index_by_code
+    pad = bytes(MAX_DEGREE - monoid.degree)  # code + pad is an element's table
     labels: list[tuple[int, int]] = [(0, 0)] * monoid.order
     for e in monoid.lattice.idempotents:
         roots = _coset_orbits(monoid.lattice, e)[1]
@@ -155,7 +156,7 @@ def _sim_labels(monoid: RennerMonoid) -> list[tuple[int, int]]:
             t_code, t_inv_table = t.code, inverse(t).table
             for i in stratum[k * block:(k + 1) * block]:
                 # The code of t^{-1} after x after t.
-                code = t_code.translate(elements[i].table).translate(t_inv_table)
+                code = t_code.translate(elements[i].code + pad).translate(t_inv_table)
                 labels[i] = labels[index[code]]
     return labels
 
@@ -199,11 +200,12 @@ def sim_classes_bruteforce(monoid: RennerMonoid) -> ConjClassification:
     (conjugating by the generators suffices to close the orbits), on byte
     codes."""
     index = monoid.index_by_code
+    pad = bytes(MAX_DEGREE - monoid.degree)
     uf = UnionFind(monoid.order)
     # The generators are simple reflections, so each is its own inverse.
     gens = [(u.code, u.table) for u in map(monoid.unit_for, monoid.group.generators)]
     for idx, x in enumerate(monoid.elements):
-        table = x.table
+        table = x.code + pad
         for code, g_table in gens:
             uf.union(idx, index[code.translate(table).translate(g_table)])
     return _classes_by_label(monoid, map(uf.find, range(monoid.order)), "sim")
@@ -274,26 +276,30 @@ def action_conjugacy_classes(monoid: RennerMonoid) -> ConjClassification:
 def irreducible_rep_count(lattice: CrossSectionLattice) -> int:
     """Number of inequivalent irreducible representations over a field of
     characteristic zero: conjugacy classes of the lambda_star parabolic
-    summed over the lattice, the zero stratum contributing one.
+    summed over the lattice (the zero's is trivial, so it contributes one).
 
     Computed from the lattice alone; ``munn_classes`` reaches the same
     count by another route, so each checks the other.
     """
-    total = 1
-    for e in lattice.nonzero:
-        total += len(group_conjugacy_classes(lattice.star_group(e)))
-    return total
+    return sum(len(group_conjugacy_classes(lattice.star_group(e))) for e in lattice)
+
+
+# O(points^2) big-integer additions: 2000 points take 0.2 s, 20 000 take 25 s.
+MAX_ROOK_POINTS = 2000
 
 
 def munn_count_rook(points: int) -> int:
     """Munn class count of the rook monoid on the given number of points:
-    the integer partitions of every r up to that number, summed.
+    the integer partitions of every r up to that number, summed.  More than
+    ``MAX_ROOK_POINTS`` points raise ``SizeCapExceeded`` before any work.
 
     >>> [munn_count_rook(m) for m in range(5)]
     [1, 2, 4, 7, 12]
     """
     if points < 0:
         raise ValueError("the number of points must be nonnegative")
+    if points > MAX_ROOK_POINTS:
+        raise SizeCapExceeded(f"{points} points exceed the cap {MAX_ROOK_POINTS}")
     parts = [1] + [0] * points
     for k in range(1, points + 1):
         for n in range(k, points + 1):

@@ -29,7 +29,7 @@ from .rootsys import (
 
 @dataclass(frozen=True)
 class DominantWeightSpec:
-    """A dominant nonzero weight; only its zero pattern matters downstream."""
+    """A dominant nonzero weight; the lattice reads only its zero pattern."""
 
     mu: tuple[int, ...]
 
@@ -44,10 +44,6 @@ class DominantWeightSpec:
     def j0(self) -> frozenset[int]:
         """Indices of the simple roots pairing to zero with the weight."""
         return frozenset(i for i, c in enumerate(self.mu) if c == 0)
-
-    @classmethod
-    def from_weight(cls, coords: Sequence[int]) -> "DominantWeightSpec":
-        return cls(tuple(coords))
 
     @classmethod
     def from_j0(cls, rank: int, zero_indices: Iterable[int]) -> "DominantWeightSpec":
@@ -154,7 +150,6 @@ class CrossSectionLattice:
         self.weight_spec = weight_spec
         self.idempotents = idempotents
         self.zero = idempotents[0]
-        self.min_nonzero = idempotents[1]
         self.one = idempotents[-1]
         index_sets = [frozenset(range(group.cartan.rank)), frozenset()]
         for e in self.nonzero:

@@ -19,7 +19,7 @@ from .crosslat import CrossIdempotent, CrossSectionLattice, build_lattice
 from .errors import ConstructionError, NotInOrbit, SizeCapExceeded, ZeroElement
 from .partialinj import MAX_DEGREE, PartialInjection, compose, inverse, stable_domain
 from .rootsys import DEFAULT_MAX_GROUP_ORDER, CartanMatrix, Weight, WeylElement, bfs_orbit
-from .rootsys import generate_weyl, parabolic
+from .rootsys import generate_weyl
 
 DEFAULT_MAX_MONOID_ORDER = 250_000
 
@@ -81,15 +81,12 @@ class RennerMonoid:
         self.strata = strata
         self.transporters = transporters
         self.index_by_code = {p.code: i for i, p in enumerate(elements)}
-        degree = len(vertices)
-        self.zero = PartialInjection.zero(degree)
-        self.one = PartialInjection.identity(degree)
         self.units = tuple(elements[i] for i in strata[lattice.one.index])
         self._unit_by_perm = {w.perm: u for w, u in zip(group.elements, self.units)}
-        self._idem_maps = {
-            e.index: PartialInjection.partial_identity(degree, self.face(e))
-            for e in lattice.idempotents
-        }
+        # Each stratum opens with e's own face under the identity: e itself.
+        self._idem_maps = {e.index: elements[strata[e.index][0]] for e in lattice.idempotents}
+        self.zero = self._idem_maps[lattice.zero.index]
+        self.one = self.units[0]
         unit_gens = [self.unit_for(g) for g in group.generators]
         # Drops repeats, keeps first-seen order.
         self.generators = tuple(dict.fromkeys(unit_gens + list(self._idem_maps.values())))
@@ -127,9 +124,6 @@ class RennerMonoid:
         """The lattice idempotent whose double coset contains sigma."""
         return self.face_to_idem[sigma.domain]
 
-    def stratum_elements(self, e: CrossIdempotent) -> tuple[PartialInjection, ...]:
-        return tuple(self.elements[i] for i in self.strata[e.index])
-
 
 def check_monoid_cap(lattice: CrossSectionLattice, max_monoid_order: int) -> None:
     """Refuse, before any element is made, a monoid whose closed-form order
@@ -153,7 +147,8 @@ def build_renner(
 
     The Weyl group is realized again on the orbit of ``mu``, element i on
     element i of the lattice's group (both are in (length, lex-least word)
-    order), and each face is read off the lambda_star parabolic there.
+    order), and each face is the orbit of the weight under the lambda_star
+    generators there.
 
     Each stratum W e W is enumerated as the units restricted to the faces of
     the orbit of e's face (the empty face giving the zero map), faces in
@@ -176,7 +171,8 @@ def build_renner(
         raise ConstructionError("the weight orbit lists the Weyl group in another order")
 
     def seed_orbit(indices: frozenset[int]) -> frozenset[int]:
-        return frozenset(w.perm[0] for w in parabolic(on_weight, indices).members)
+        moves = [on_weight.generators[j].perm.__getitem__ for j in indices]
+        return frozenset(bfs_orbit(0, moves))
 
     faces = {e: seed_orbit(e.lambda_star) for e in lattice.nonzero}
     for e, face in faces.items():
@@ -251,14 +247,6 @@ def normal_form(monoid: RennerMonoid, sigma: PartialInjection) -> NormalForm:
         raise ValueError("element does not belong to the monoid")
     unit = monoid.canonical_units[monoid.index_of(sigma)]
     return NormalForm(sigma.image, unit, sigma.domain)
-
-
-def reconstruct(monoid: RennerMonoid, form: NormalForm) -> PartialInjection:
-    """Multiply a normal form back into the element it came from."""
-    degree = monoid.degree
-    e_rng = PartialInjection.partial_identity(degree, form.range_face)
-    e_dom = PartialInjection.partial_identity(degree, form.domain_face)
-    return compose(e_rng, compose(monoid.unit_for(form.unit), e_dom))
 
 
 def subrank(monoid: RennerMonoid, sigma: PartialInjection) -> CrossIdempotent:

@@ -155,33 +155,6 @@ def inverse(sigma: PartialInjection) -> PartialInjection:
     return PartialInjection(bytes(code))
 
 
-def natural_leq(sigma: PartialInjection, tau: PartialInjection) -> bool:
-    """Natural partial order: sigma is a restriction of tau.
-
-    >>> natural_leq(PartialInjection.zero(3), PartialInjection.identity(3))
-    True
-    """
-    if sigma.degree != tau.degree:
-        raise ValueError("cannot compare maps of different degrees")
-    return all(tau.code[i] == sigma.code[i] for i in sigma.domain)
-
-
-def restrict(sigma: PartialInjection, keep: Iterable[int]) -> PartialInjection:
-    """Forget every source outside ``keep``; values are unchanged."""
-    kept = set(keep)
-    n = sigma.degree
-    if not all(0 <= i < n for i in kept):
-        raise ValueError("keep points must lie in range")
-    return PartialInjection(bytes(t if i in kept else n for i, t in enumerate(sigma.code)))
-
-
-def is_idempotent(sigma: PartialInjection) -> bool:
-    """True exactly for partial identities (the only idempotent partial
-    injections)."""
-    code = sigma.code
-    return all(code[i] == i for i in sigma.domain)
-
-
 def stable_domain(sigma: PartialInjection) -> frozenset[int]:
     """Points whose forward orbit under sigma stays defined forever: the
     domain of the invertible part, on which sigma is a permutation."""

@@ -245,12 +245,6 @@ class WeylGroup:
         """w x w^{-1}."""
         return self.mul(self.mul(w, x), self.inv(w))
 
-    def from_word(self, word: Iterable[int]) -> WeylElement:
-        el = self.identity
-        for i in word:
-            el = self.mul(el, self.generators[i])
-        return el
-
 
 def generate_weyl(
     cartan: CartanMatrix, seed: Sequence[int], max_order: int = DEFAULT_MAX_GROUP_ORDER
@@ -330,15 +324,6 @@ def left_cosets(sub: Subgroup) -> tuple[tuple[WeylElement, ...], dict[WeylElemen
         coset_of.update((group.mul(w, h), len(reps)) for h in sub.members)
         reps.append(w)
     return tuple(reps), coset_of
-
-
-def min_coset_reps(group: WeylGroup, indices: Iterable[int]) -> tuple[WeylElement, ...]:
-    """One element per left coset w*W_J: its unique minimal-length member.
-
-    Listed in (length, word) order.  For J empty this is the whole group;
-    for J the full index set it is just the identity.
-    """
-    return left_cosets(parabolic(group, indices))[0]
 
 
 def group_conjugacy_classes(sub: Subgroup) -> tuple[tuple[WeylElement, ...], ...]:

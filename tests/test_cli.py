@@ -1,3 +1,4 @@
+import functools
 import json
 import time
 from pathlib import Path
@@ -6,6 +7,7 @@ import pytest
 
 from renner import cli, rootsys
 from renner.cli import main
+from renner.conj import MAX_ROOK_POINTS
 
 
 def run(capsys, *argv):
@@ -35,6 +37,16 @@ def test_rook_count(capsys):
     code, out, _ = run(capsys, "rook-count", "4", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"munn_classes": 12, "points": 4}
+    # The largest count answered; its last term is p(2000).
+    code, top, _ = run(capsys, "rook-count", str(MAX_ROOK_POINTS))
+    assert code == 0
+    _, below, _ = run(capsys, "rook-count", str(MAX_ROOK_POINTS - 1))
+    assert int(top) - int(below) == 4720819175619413888601432406799959512200344166
+    # One point more is refused before the quadratic loop starts.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rook-count", str(MAX_ROOK_POINTS + 1))
+    assert time.perf_counter() - start < 0.1
+    assert code == 3 and out == "" and "2001 points" in err
 
 
 def test_readme_counts_example(capsys):
@@ -68,12 +80,25 @@ def test_counts_csv_layout(capsys):
     assert [line.split(",")[4] for line in lines[1:]] == ["1", "2", "4", "3"]
 
 
-def test_j0_equivalent_to_weight(capsys):
-    _, out_w, _ = run(
-        capsys, "counts", "--type", "A2", "--weight", "1,0", "--format", "json"
-    )
-    _, out_j, _ = run(capsys, "counts", "--type", "A2", "--j0", "2", "--format", "json")
-    assert out_w == out_j
+def test_j0_equivalent_to_weight(capsys, monkeypatch):
+    # Weights with one zero pattern give one answer, bar the weight that
+    # lattice JSON prints and the weight orbit that build JSON lists.
+    monkeypatch.setattr(cli, "build_renner", functools.cache(cli.build_renner))
+    spellings = (["--weight", "2,0,3"], ["--weight", "1,0,1"], ["--j0", "2"])
+    echoed = {"lattice": "weight", "build": "vertices"}
+    commands = (["lattice"], ["counts"], ["reps"], ["classes", "--kind", "sim"],
+                ["classes", "--kind", "munn"], ["build"])
+    for command in commands:
+        for fmt in ("table", "json", "csv"):
+            outs = []
+            for spelling in spellings:
+                code, out, _ = run(capsys, *command, "--type", "B3", *spelling, "--format", fmt)
+                assert code == 0, (command, spelling, fmt)
+                if fmt == "json" and command[0] in echoed:
+                    out = json.loads(out)
+                    del out[echoed[command[0]]]
+                outs.append(out)
+            assert outs[0] == outs[1] == outs[2], (command, fmt)
 
 
 def test_json_output_is_deterministic(capsys):

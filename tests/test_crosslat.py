@@ -78,7 +78,7 @@ def test_lambda_sub_star_cases():
 
 def test_first_basic_a2_stabilizer_orders():
     _, lattice = _lattice("A", 2, (1, 0))
-    e0 = lattice.min_nonzero
+    e0 = lattice.nonzero[0]
     assert lattice.stabilizer(e0).order == 2
     e1 = lattice.nonzero[1]
     assert lattice.stabilizer(e1).order == 1
@@ -126,5 +126,5 @@ def test_lattice_order():
     zero, e0, e1, e2, one = lattice.idempotents
     assert lattice.leq(zero, e1) and lattice.leq(e0, e1) and lattice.leq(e1, one)
     assert not lattice.leq(e1, e2) and not lattice.leq(e1, e0)
-    assert all(lattice.leq(lattice.min_nonzero, f) for f in lattice.nonzero)
+    assert all(lattice.leq(lattice.nonzero[0], f) for f in lattice.nonzero)
 

@@ -12,6 +12,8 @@ its queries, so any change to an answer, a format or a refusal changes it.
   ``--max-monoid-order 1000``: 27 configurations answer, the rest refuse.
 * ``classes --kind semigroup|action`` in all three formats on the 16
   configurations whose closed-form |R| is at most 300.
+* ``build --format json`` with ``--max-monoid-order 1000``: the element
+  order, generators and strata of the 27 monoids that answer.
 
 Lattices and monoids are fixed at construction, so each configuration's
 lattice and monoid are built once and shared by its queries.
@@ -34,6 +36,7 @@ FORMATS = ("table", "json", "csv")
 GRID_DIGEST = "c4af02fc669551bca6827016b84d8fd29985fe2e75cad2a95eddb7daa1baff9e"
 CLASSES_DIGEST = "96f77c86c229ddd4a59cccba9fc0912e55851b269f20acfc9eac40ba2dea0ec5"
 PAIRWISE_DIGEST = "d098af55ef4196a7625d540cb52aa40989f2ddf1d38b0b8734b881141c698026"
+BUILD_DIGEST = "d7e0640b6e67168550bbd978462d2951decc296cec0b09f398ba24a9ff5ee26e"
 PAIRWISE_MAX_ORDER = 300
 
 
@@ -104,3 +107,11 @@ def test_sim_and_munn_classes_grid_digest(monkeypatch):
 def test_semigroup_and_action_classes_digest(monkeypatch):
     monkeypatch.setattr(cli, "build_renner", functools.cache(cli.build_renner))
     assert digest_of(pairwise_argvs()) == (PAIRWISE_DIGEST, 16 * 6)
+
+
+def test_build_export_grid_digest():
+    argvs = (
+        ["build", *config, "--format", "json", "--max-monoid-order", "1000"]
+        for config in grid_configs()
+    )
+    assert digest_of(argvs) == (BUILD_DIGEST, 147)

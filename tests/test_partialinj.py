@@ -6,9 +6,6 @@ from renner import (
     compose,
     inverse,
     invertible_part,
-    is_idempotent,
-    natural_leq,
-    restrict,
     stable_domain,
 )
 
@@ -146,45 +143,6 @@ def test_associativity_exhaustive_on_r3():
                 assert compose(ab, c) == compose(a, compose(b, c))
 
 
-def test_natural_leq():
-    zero = PartialInjection.zero(3)
-    one = PartialInjection.identity(3)
-    for sigma in R3:
-        assert natural_leq(zero, sigma)
-        assert natural_leq(sigma, sigma)
-        # Every partial identity is a restriction of the full identity.
-        assert natural_leq(PartialInjection.partial_identity(3, sigma.domain), one)
-    # Equivalent formulation: sigma == tau restricted to sigma's domain.
-    for sigma in R3:
-        for tau in R3:
-            expected = compose(
-                tau, PartialInjection.partial_identity(3, sigma.domain)
-            ) == sigma
-            assert natural_leq(sigma, tau) == expected
-    with pytest.raises(ValueError):
-        natural_leq(zero, PartialInjection.identity(2))
-
-
-def test_restrict():
-    one = PartialInjection.identity(3)
-    for sigma in R3:
-        assert restrict(sigma, range(3)) == sigma
-        assert restrict(sigma, []) == PartialInjection.zero(3)
-    assert restrict(one, [0, 2]) == PartialInjection.partial_identity(3, [0, 2])
-    for keep in ([0, 3], [-1]):
-        with pytest.raises(ValueError):
-            restrict(one, keep)
-
-
-def test_is_idempotent_matches_squaring():
-    for sigma in R3:
-        assert is_idempotent(sigma) == (compose(sigma, sigma) == sigma)
-    assert is_idempotent(PartialInjection.zero(3))
-    assert is_idempotent(PartialInjection.identity(3))
-    swap = PartialInjection.from_targets((1, 0, 2))
-    assert not is_idempotent(swap)
-
-
 def test_invertible_part_six_point_example():
     sigma = PartialInjection.from_pairs(6, [(0, 4), (4, 5), (5, 0), (1, 3)])
     assert stable_domain(sigma) == frozenset({0, 4, 5})
@@ -232,7 +190,7 @@ def test_invertible_part_is_bijection_of_stable_domain():
             naive = naive_stable_domain(sigma)
             part = invertible_part(sigma)
             assert part.domain == part.image == stable_domain(sigma) == naive
-            assert part == restrict(sigma, naive)
+            assert part == compose(sigma, PartialInjection.partial_identity(degree, naive))
 
 
 def test_pairs_roundtrip():
