@@ -60,6 +60,18 @@ def _parse_int_list(text: str) -> list[int]:
         raise ValueError(f"cannot parse integer list {text!r}") from exc
 
 
+def _cap(text: str) -> int:
+    """A size cap: a nonnegative integer (a negative one is invalid input,
+    not a cap every build exceeds)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"cap {value} is negative")
+    return value
+
+
 def _type_and_weight(args: argparse.Namespace) -> tuple[CartanMatrix, tuple[int, ...]]:
     letter, rank = _parse_type(args.type)
     validate_type(letter, rank)
@@ -158,7 +170,7 @@ def cmd_lattice(args: argparse.Namespace) -> None:
 def cmd_build(args: argparse.Namespace) -> None:
     monoid = _build_monoid(args, args.max_monoid_order)
     if args.format == "json":
-        _emit_json(monoid_to_json(monoid))
+        print(monoid_to_json(monoid))
         return
     rows = [
         [e.label, len(monoid.strata[e.index])] for e in monoid.lattice.idempotents
@@ -272,10 +284,10 @@ def _add_monoid_arguments(parser: argparse.ArgumentParser) -> None:
         "--format", choices=("table", "json", "csv"), default="table"
     )
     parser.add_argument(
-        "--max-group-order", type=int, default=DEFAULT_MAX_GROUP_ORDER
+        "--max-group-order", type=_cap, default=DEFAULT_MAX_GROUP_ORDER
     )
     parser.add_argument(
-        "--max-monoid-order", type=int, default=DEFAULT_MAX_MONOID_ORDER
+        "--max-monoid-order", type=_cap, default=DEFAULT_MAX_MONOID_ORDER
     )
 
 

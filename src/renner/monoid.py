@@ -11,6 +11,7 @@ to it makes that normal form canonical.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Sequence
@@ -208,11 +209,13 @@ def build_renner(
             face_code = PartialInjection.partial_identity(degree, face).code
             made: set[bytes] = set()
             for w, table in zip(group.elements, unit_tables):  # (length, word) order
-                code = face_code.translate(table)  # the unit after the face's identity
+                # The unit after the face's identity: both codes were checked,
+                # and a permutation after a partial identity is injective.
+                code = face_code.translate(table)
                 if code in made:
                     continue
                 made.add(code)
-                sigma = PartialInjection(code)
+                sigma = PartialInjection._trusted(code)
                 elements.append(sigma)
                 canonical_units.append(w)
                 # The first unit with a given image of e's face makes a new map.
@@ -313,13 +316,50 @@ def element_label(monoid: RennerMonoid, sigma: PartialInjection) -> str:
     return face if word == "1" else f"{word}*{face}"
 
 
-def monoid_to_json(monoid: RennerMonoid) -> dict:
-    """Export: vertices, generators, elements (pair lists), and strata."""
-    return {
-        "vertices": [list(v) for v in monoid.vertices],
-        "generators": [g.to_pairs() for g in monoid.generators],
-        "elements": [p.to_pairs() for p in monoid.elements],
-        "strata": {
-            e.label: list(monoid.strata[e.index]) for e in monoid.lattice.idempotents
-        },
-    }
+def monoid_to_json(monoid: RennerMonoid) -> str:
+    """The export text: ``vertices``, ``generators``, ``elements`` (each a
+    list of [source, target] pairs sorted by source) and ``strata`` (label
+    to element indices), exactly as ``json.dumps(doc, indent=2,
+    sort_keys=True)`` writes that document.
+
+    Each element is written from its byte code and one table of per-pair
+    fragments; the elements sharing a domain share the list of its rows.
+    """
+    n = monoid.degree
+    # rows[i][t]: the pair [i, t] as written at element depth.
+    rows = [[f"[\n        {i},\n        {t}\n      ]" for t in range(n)] for i in range(n)]
+    defined = bytes(t < n for t in range(256))
+    undefined = bytes([n])
+    domain_rows: dict[bytes, list[list[str]]] = {}
+
+    def pairs(sigma: PartialInjection) -> str:
+        code = sigma.code
+        mask = code.translate(defined)
+        picked = domain_rows.get(mask)
+        if picked is None:
+            picked = domain_rows[mask] = [row for row, d in zip(rows, mask) if d]
+        # Deleting the undefined bytes leaves the targets in source order.
+        return _json_block(map(list.__getitem__, picked, code.translate(None, undefined)), 4)
+
+    strata = {e.label: monoid.strata[e.index] for e in monoid.lattice.idempotents}
+    # The keys in sorted order; each block is joined once, from an iterator,
+    # so at most one list of element texts is alive.
+    return "".join([
+        '{\n  "elements": ', _json_block(map(pairs, monoid.elements), 2),
+        ',\n  "generators": ', _json_block(map(pairs, monoid.generators), 2),
+        ',\n  "strata": ', _json_block(
+            (f"{json.dumps(k)}: {_json_block(map(str, strata[k]), 4)}" for k in sorted(strata)),
+            2, "{}",
+        ),
+        ',\n  "vertices": ', _json_block((_json_block(map(str, v), 4) for v in monoid.vertices), 2),
+        "\n}",
+    ])
+
+
+def _json_block(items: Iterable[str], indent: int, brackets: str = "[]") -> str:
+    """A list (or, with ``brackets="{}"``, an object) at ``indent`` whose
+    ``items`` are already written one level deeper, as ``json.dumps(...,
+    indent=2)`` writes it."""
+    inner = "\n" + " " * (indent + 2)
+    body = ("," + inner).join(items)
+    return f"{brackets[0]}{inner}{body}\n{' ' * indent}{brackets[1]}" if body else brackets

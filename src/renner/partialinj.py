@@ -45,6 +45,14 @@ class PartialInjection:
         if len(set(code)) + code.count(n) != n + 2:
             raise ValueError("targets must be distinct")
 
+    @classmethod
+    def _trusted(cls, code: bytes) -> "PartialInjection":
+        """The map with byte code ``code``, made without the checks: only for
+        a code valid by construction."""
+        sigma = object.__new__(cls)
+        object.__setattr__(sigma, "code", code)
+        return sigma
+
     @property
     def degree(self) -> int:
         return len(self.code) - 1

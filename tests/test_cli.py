@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from renner import cli, rootsys
+from renner import PartialInjection, cli, rootsys
 from renner.cli import main
 from renner.conj import MAX_ROOK_POINTS
 
@@ -122,6 +122,18 @@ def test_build_json_export(capsys):
     assert len(doc["elements"]) == 34
 
 
+def test_build_export_reads_the_codes(capsys, monkeypatch):
+    argv = ("build", "--type", "B2", "--weight", "1,1", "--format", "json")
+    _, expected, _ = run(capsys, *argv)
+
+    def no_pairs(self):
+        raise AssertionError("the export made a pair list")
+
+    monkeypatch.setattr(PartialInjection, "to_pairs", no_pairs)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == expected
+
+
 def test_build_table_summary(capsys):
     code, out, _ = run(capsys, "build", "--type", "A2", "--weight", "1,1")
     assert code == 0
@@ -155,6 +167,19 @@ def test_missing_weight_and_j0_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["counts", "--type", "A2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("option", ["--max-monoid-order", "--max-group-order"])
+def test_negative_caps_are_invalid_input(capsys, option):
+    # A negative cap is a usage error (exit 2), not a cap every build passes.
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--type", "A2", "--weight", "1,0", option, "-5"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument {option}: cap -5 is negative" in captured.err
+    # Zero is a cap, and every monoid and Weyl group passes it.
+    code, out, err = run(capsys, "build", "--type", "A2", "--weight", "1,0", option, "0")
+    assert code == 3 and out == "" and "exceeds the cap 0" in err
 
 
 def _no_element(*args):

@@ -14,6 +14,8 @@ its queries, so any change to an answer, a format or a refusal changes it.
   configurations whose closed-form |R| is at most 300.
 * ``build --format json`` with ``--max-monoid-order 1000``: the element
   order, generators and strata of the 27 monoids that answer.
+* ``build --format json`` on six larger monoids (|R| 1.8k-21k, degree
+  6-48), past that cap.
 
 Lattices and monoids are fixed at construction, so each configuration's
 lattice and monoid are built once and shared by its queries.
@@ -37,6 +39,12 @@ GRID_DIGEST = "c4af02fc669551bca6827016b84d8fd29985fe2e75cad2a95eddb7daa1baff9e"
 CLASSES_DIGEST = "96f77c86c229ddd4a59cccba9fc0912e55851b269f20acfc9eac40ba2dea0ec5"
 PAIRWISE_DIGEST = "d098af55ef4196a7625d540cb52aa40989f2ddf1d38b0b8734b881141c698026"
 BUILD_DIGEST = "d7e0640b6e67168550bbd978462d2951decc296cec0b09f398ba24a9ff5ee26e"
+EXPORT_DIGEST = "b52a066c16db5514472d05962a59242341e3296e26b3a6b4c6271899d0ee4604"
+# The six monoids of the benchmark's build-export workload, |R| 1.8k-21k.
+EXPORT_CONFIGS = (
+    ("A3", "1,1,1"), ("B3", "1,1,1"), ("D4", "1,0,0,0"),
+    ("B4", "0,0,0,1"), ("A5", "0,0,0,0,1"), ("A4", "0,1,0,1"),
+)
 PAIRWISE_MAX_ORDER = 300
 
 
@@ -115,3 +123,11 @@ def test_build_export_grid_digest():
         for config in grid_configs()
     )
     assert digest_of(argvs) == (BUILD_DIGEST, 147)
+
+
+def test_build_export_of_larger_monoids_digest():
+    argvs = (
+        ["build", "--type", letter_rank, "--weight", weight, "--format", "json"]
+        for letter_rank, weight in EXPORT_CONFIGS
+    )
+    assert digest_of(argvs) == (EXPORT_DIGEST, 6)

@@ -379,16 +379,42 @@ def test_element_labels(basic_a2):
 
 
 def test_monoid_json_export(basic_a2):
-    doc = monoid_to_json(basic_a2)
+    doc = json.loads(monoid_to_json(basic_a2))
     assert set(doc) == {"vertices", "generators", "elements", "strata"}
     assert len(doc["elements"]) == basic_a2.order
     assert sorted(i for idxs in doc["strata"].values() for i in idxs) == list(
         range(basic_a2.order)
     )
-    # Byte-identical across dumps.
-    assert json.dumps(doc, sort_keys=True) == json.dumps(
-        monoid_to_json(make_monoid("A", 2, (1, 0))), sort_keys=True
-    )
+    # Byte-identical across builds.
+    assert monoid_to_json(basic_a2) == monoid_to_json(make_monoid("A", 2, (1, 0)))
+
+
+def test_export_text_is_what_json_dumps_writes(small_grid):
+    # The export is written without json.dumps; it must be the text json
+    # would write for the same document, which holds every element's pairs.
+    built, _ = small_grid
+    assert "A1(1,)" in [config for config, _ in built]
+    for config, R in built:
+        text = monoid_to_json(R)
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2, sort_keys=True), config
+        assert doc == {
+            "vertices": [list(v) for v in R.vertices],
+            "generators": [g.to_pairs() for g in R.generators],
+            "elements": [p.to_pairs() for p in R.elements],
+            "strata": {e.label: list(R.strata[e.index]) for e in R.lattice.idempotents},
+        }, config
+        # The zero element comes first, with no defined point.
+        assert doc["elements"][0] == [] and '"elements": [\n    [],' in text, config
+
+
+def test_built_elements_pass_full_validation(small_grid):
+    # The build skips the constructor's checks for the codes it makes.
+    built, _ = small_grid
+    for config, R in built:
+        for p in R.elements:
+            assert type(p) is PartialInjection
+            assert PartialInjection(p.code) == p, config
 
 
 def test_lattice_order_agrees_with_idempotent_products(acceptance_monoids):
