@@ -20,7 +20,6 @@ import sys
 from typing import Optional, Sequence
 
 from .conj import (
-    DEFAULT_PAIRWISE_CAP,
     action_conjugacy_classes,
     classification_to_json,
     irreducible_rep_count,
@@ -193,11 +192,7 @@ _KINDS = {
 
 
 def cmd_classes(args: argparse.Namespace) -> None:
-    cap = args.max_monoid_order
-    if args.kind in ("semigroup", "action"):
-        # The pairwise oracles' own cap, checked before the build, not after.
-        cap = min(cap, DEFAULT_PAIRWISE_CAP)
-    monoid = _build_monoid(args, cap)
+    monoid = _build_monoid(args, args.max_monoid_order)
     classification = _KINDS[args.kind](monoid)
     if args.format == "json":
         _emit_json(classification_to_json(monoid, classification))

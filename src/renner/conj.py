@@ -14,10 +14,12 @@ once per unit-conjugacy class, from the invertible part of its least
 member.  Brute force validates them in the test suite; the counts need
 only the lattice.
 
-The pairwise semigroup and action closures, and the brute-force sim oracle,
-work on the elements' byte codes: a product is one ``bytes.translate`` of a
-code by a table and a lookup in the monoid's code index, and the semigroup
-closure visits each unordered pair once.
+The semigroup and action closures run over the monoid's generators A, the
+simple reflections and the idempotent maps of the lattice (R = W Lambda W,
+so A generates R), not over all pairs of elements: O(|R| |A|) byte-code
+translations instead of O(|R|^2).  Each function's docstring proves that
+this gives the same closure; the all-pairs closures stay in the test suite
+as oracles.
 """
 
 from __future__ import annotations
@@ -29,12 +31,8 @@ from typing import Hashable, Iterable, Optional
 from .crosslat import CrossIdempotent, CrossSectionLattice
 from .errors import ConstructionError, SizeCapExceeded
 from .monoid import RennerMonoid, element_label
-from .partialinj import MAX_DEGREE, PartialInjection, inverse, invertible_part, stable_domain
+from .partialinj import MAX_DEGREE, PartialInjection, inverse, invertible_part
 from .rootsys import group_conjugacy_classes, left_cosets
-
-# Pairwise oracles are O(|R|^2); keep them desk-scale by default.
-DEFAULT_PAIRWISE_CAP = 2000
-
 
 class UnionFind:
     def __init__(self, size: int):
@@ -76,7 +74,7 @@ class ConjClassification:
     by its least element in ``monoid.elements`` order, and the classes come
     in the order of those least elements.  ``strata`` holds the stratum of
     each representative for sim and munn (for munn that is the class's
-    subrank); it is None per class for the pairwise semigroup/action kinds.
+    subrank); it is None per class for the semigroup and action kinds.
     """
 
     kind: str
@@ -187,14 +185,6 @@ def _classes_by_label(
     return ConjClassification(kind, classes, reps, strata)
 
 
-def _check_pairwise_cap(monoid: RennerMonoid) -> int:
-    """The number of elements, once it is known to fit the cap."""
-    n, cap = len(monoid.elements), DEFAULT_PAIRWISE_CAP
-    if n > cap:
-        raise SizeCapExceeded(f"pairwise closure over {n} elements exceeds cap {cap}")
-    return n
-
-
 def sim_classes_bruteforce(monoid: RennerMonoid) -> ConjClassification:
     """Oracle: direct orbits of sigma -> w sigma w^{-1} over the unit group
     (conjugating by the generators suffices to close the orbits), on byte
@@ -230,47 +220,67 @@ def munn_classes(monoid: RennerMonoid) -> ConjClassification:
 
 
 def semigroup_conjugacy_classes(monoid: RennerMonoid) -> ConjClassification:
-    """Transitive closure of the primary relation pairing xy with yx, by
-    union-find over the unordered pairs {x, y} of distinct elements (the
-    relation is symmetric, and x = y pairs xx with itself), each product a
-    byte-code translation.
+    """Transitive closure of the primary relation pairing uv with vu, by
+    union-find of x a with a x for every element x and generator a, each
+    product a byte-code translation.
 
-    Raises ``SizeCapExceeded`` above ``DEFAULT_PAIRWISE_CAP`` elements.
+    This is the closure over all pairs.  Each generator step is a primary
+    pair.  Conversely, let v = a_1 ... a_k with every a_i a generator (v = 1
+    pairs uv with itself); by induction on k,
+
+        uv = (u a_1)(a_2 ... a_k) ~ (a_2 ... a_k u) a_1 ~ a_1 (a_2 ... a_k u) = vu,
+
+    the first step a pair whose right factor has k - 1 generators, the
+    second the generator step on x = a_2 ... a_k u.
     """
-    n = _check_pairwise_cap(monoid)
-    codes = [p.code for p in monoid.elements]
-    tables = [p.table for p in monoid.elements]
     index = monoid.index_by_code
-    uf = UnionFind(n)
-    for i in range(n):
-        code_i, table_i = codes[i], tables[i]
-        for j in range(i + 1, n):
-            uf.union(index[codes[j].translate(table_i)], index[code_i.translate(tables[j])])
-    return _classes_by_label(monoid, map(uf.find, range(n)), "semigroup", with_strata=False)
+    gens = [(a.code, a.table) for a in monoid.generators]
+    uf = UnionFind(monoid.order)
+    for x in monoid.elements:
+        code, table = x.code, x.table
+        for a_code, a_table in gens:
+            uf.union(index[a_code.translate(table)], index[code.translate(a_table)])
+    return _classes_by_label(
+        monoid, map(uf.find, range(monoid.order)), "semigroup", with_strata=False
+    )
 
 
 def action_conjugacy_classes(monoid: RennerMonoid) -> ConjClassification:
     """Transitive closure of the partial conjugation action: sigma moves x
     to sigma x sigma^{-1} whenever the stable domain of x sits inside the
-    domain of sigma.
+    domain of sigma, by union-find of x with g x g^{-1} for every element
+    x and every generator g whose domain holds the stable domain of x.
 
-    The movers are grouped by domain, so the containment is tested once
-    per domain, and each move is two byte-code translations.  Raises
-    ``SizeCapExceeded`` above ``DEFAULT_PAIRWISE_CAP`` elements.
+    This is the closure over all sigma.  Each generator move is a sigma
+    move.  Conversely, sigma = u e v with u, v units and e an idempotent
+    map of the lattice, so
+
+        sigma x sigma^{-1} = u (e (v x v^{-1}) e) u^{-1},
+
+    and the domain of sigma is v^{-1} F_e, which holds the stable domain S
+    of x exactly when F_e holds v S, the stable domain of v x v^{-1}.  So
+    the sigma move is the chain of unit moves taking x to v x v^{-1} (a
+    unit's domain is everything, and a unit is a word in the simple
+    reflections), one allowed e move, and the unit moves by u.
+
+    The stable domain S of x is the image of its invertible part p, so it
+    lies in the domain D of g exactly when p is unchanged by the partial
+    identity on D: one translation per generator.
     """
-    n = _check_pairwise_cap(monoid)
-    index = monoid.index_by_code
-    movers: dict[frozenset[int], list[tuple[bytes, bytes]]] = {}
-    for sigma in monoid.elements:
-        movers.setdefault(sigma.domain, []).append((inverse(sigma).code, sigma.table))
-    uf = UnionFind(n)
+    index, n = monoid.index_by_code, monoid.degree
+    moves = [
+        (inverse(g).code, g.table, PartialInjection.partial_identity(n, g.domain).table)
+        for g in monoid.generators
+    ]
+    uf = UnionFind(monoid.order)
     for xi, x in enumerate(monoid.elements):
-        needed, table_x = stable_domain(x), x.table
-        for domain, moves in movers.items():
-            if needed <= domain:
-                for inv, table in moves:
-                    uf.union(xi, index[inv.translate(table_x).translate(table)])
-    return _classes_by_label(monoid, map(uf.find, range(n)), "action", with_strata=False)
+        table, cycles = x.table, invertible_part(x).code
+        for inv_code, g_table, on_domain in moves:
+            if cycles.translate(on_domain) == cycles:
+                uf.union(xi, index[inv_code.translate(table).translate(g_table)])
+    return _classes_by_label(
+        monoid, map(uf.find, range(monoid.order)), "action", with_strata=False
+    )
 
 
 def irreducible_rep_count(lattice: CrossSectionLattice) -> int:

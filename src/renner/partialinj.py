@@ -95,17 +95,6 @@ class PartialInjection:
         return cls(bytes([n if t is None else t for t in targets] + [n]))
 
     @classmethod
-    def zero(cls, degree: int) -> "PartialInjection":
-        """The empty map."""
-        _check_degree(degree)
-        return cls.from_targets([None] * degree)
-
-    @classmethod
-    def identity(cls, degree: int) -> "PartialInjection":
-        _check_degree(degree)
-        return cls.from_targets(range(degree))
-
-    @classmethod
     def partial_identity(cls, degree: int, fixed: Iterable[int]) -> "PartialInjection":
         """Identity on ``fixed``, undefined elsewhere."""
         _check_degree(degree)
@@ -113,20 +102,6 @@ class PartialInjection:
         if not keep <= set(range(degree)):
             raise ValueError("fixed points must lie in range")
         return cls.from_targets(i if i in keep else None for i in range(degree))
-
-    @classmethod
-    def from_pairs(
-        cls, degree: int, pairs: Iterable[tuple[int, int]]
-    ) -> "PartialInjection":
-        _check_degree(degree)
-        t: list[Optional[int]] = [None] * degree
-        for s, d in pairs:
-            if not 0 <= s < degree:
-                raise ValueError(f"source {s} out of range")
-            if t[s] is not None:
-                raise ValueError(f"duplicate source {s}")
-            t[s] = d
-        return cls.from_targets(t)
 
     def to_pairs(self) -> list[list[int]]:
         """JSON-ready [source, target] pairs sorted by source."""
@@ -151,7 +126,7 @@ def inverse(sigma: PartialInjection) -> PartialInjection:
     """Map reversal: composing back yields the partial identities on the
     image and domain respectively.
 
-    >>> s = PartialInjection.from_pairs(6, [(0, 4), (1, 3)])
+    >>> s = PartialInjection.from_targets([4, 3, None, None, None, None])
     >>> inverse(s).to_pairs()
     [[3, 1], [4, 0]]
     """
@@ -176,7 +151,7 @@ def invertible_part(sigma: PartialInjection) -> PartialInjection:
     sigma^(2^k) with 2^k > degree, found by k squarings, is defined exactly
     on the cycles; its inverse after it is the partial identity there.
 
-    >>> s = PartialInjection.from_pairs(6, [(0, 4), (4, 5), (5, 0), (1, 3)])
+    >>> s = PartialInjection.from_targets([4, 3, None, None, 5, 0])
     >>> sorted(invertible_part(s).domain)
     [0, 4, 5]
     """

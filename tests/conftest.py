@@ -2,11 +2,45 @@ import itertools
 
 import pytest
 
-from renner import SizeCapExceeded, build_renner, cartan_matrix
+from renner import PartialInjection, SizeCapExceeded, build_renner, cartan_matrix
+
+# Every supported type whose Weyl group fits the default cap.
+GRID_TYPES = [("A", r) for r in range(1, 6)] + [
+    ("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4),
+    ("D", 3), ("D", 4), ("F", 4), ("G", 2),
+]
+
+
+def grid_patterns():
+    """(letter, rank, mu) for every grid type and every 0/1 weight but the
+    zero weight: 147 configurations."""
+    for letter, rank in GRID_TYPES:
+        for mu in itertools.product((1, 0), repeat=rank):
+            if any(mu):
+                yield letter, rank, mu
 
 
 def make_monoid(letter, rank, weight, **kwargs):
     return build_renner(cartan_matrix(letter, rank), weight, **kwargs)
+
+
+def zero_map(degree):
+    """The empty map on ``degree`` points."""
+    return PartialInjection.from_targets([None] * degree)
+
+
+def identity_map(degree):
+    return PartialInjection.from_targets(range(degree))
+
+
+def from_pairs(degree, pairs):
+    """The map sending s to t for each (s, t) in ``pairs``."""
+    targets = [None] * degree
+    for s, t in pairs:
+        if not 0 <= s < degree or targets[s] is not None:
+            raise ValueError(f"bad or repeated source {s}")
+        targets[s] = t
+    return PartialInjection.from_targets(targets)
 
 
 @pytest.fixture(scope="session")

@@ -7,13 +7,22 @@ coordinates, and generated monoids and subgroups are closed by brute-force
 multiplication.  The Munn classes are also found by two more routes: through
 projections onto the lambda_star parabolics and their conjugacy classes, and
 element by element, from the unit-conjugacy class of each invertible part.
+The semigroup and action classes are closed over all pairs of elements, in
+O(|R|^2), where the library closes them over the generators.
 """
 
 from itertools import combinations, permutations
 
-from renner.conj import sim_classes_bruteforce
+from conftest import identity_map
+from renner.conj import UnionFind, _classes_by_label, sim_classes_bruteforce
 from renner.monoid import project
-from renner.partialinj import PartialInjection, compose, invertible_part
+from renner.partialinj import (
+    PartialInjection,
+    compose,
+    inverse,
+    invertible_part,
+    stable_domain,
+)
 from renner.rootsys import group_conjugacy_classes
 
 
@@ -80,7 +89,7 @@ def s3_conjugacy_class_count():
 def generator_closure(generators):
     """The monoid generated by the given partial injections: the identity
     and every product of generators, by breadth-first right multiplication."""
-    start = PartialInjection.identity(generators[0].degree)
+    start = identity_map(generators[0].degree)
     elements = {start}
     frontier = [start]
     while frontier:
@@ -167,3 +176,40 @@ def munn_partition_by_invertible_parts(monoid):
     for sigma in monoid.elements:
         groups.setdefault(class_of[invertible_part(sigma)], set()).add(sigma)
     return frozenset(map(frozenset, groups.values()))
+
+
+def semigroup_classes_pairwise(monoid):
+    """Semigroup conjugacy as the transitive closure of xy ~ yx over the
+    unordered pairs {x, y} of distinct elements (x = y pairs xx with
+    itself), each product a byte-code translation."""
+    n = monoid.order
+    codes = [p.code for p in monoid.elements]
+    tables = [p.table for p in monoid.elements]
+    index = monoid.index_by_code
+    uf = UnionFind(n)
+    for i in range(n):
+        code_i, table_i = codes[i], tables[i]
+        for j in range(i + 1, n):
+            uf.union(index[codes[j].translate(table_i)], index[code_i.translate(tables[j])])
+    return _classes_by_label(monoid, map(uf.find, range(n)), "semigroup", with_strata=False)
+
+
+def action_classes_pairwise(monoid):
+    """Action conjugacy as the transitive closure of x ~ sigma x sigma^{-1}
+    over every element sigma whose domain holds the stable domain of x; the
+    movers are grouped by domain, so the containment is tested once per
+    domain."""
+    index = monoid.index_by_code
+    movers = {}
+    for sigma in monoid.elements:
+        movers.setdefault(sigma.domain, []).append((inverse(sigma).code, sigma.table))
+    uf = UnionFind(monoid.order)
+    for xi, x in enumerate(monoid.elements):
+        needed, table_x = stable_domain(x), x.table
+        for domain, moves in movers.items():
+            if needed <= domain:
+                for inv, table in moves:
+                    uf.union(xi, index[inv.translate(table_x).translate(table)])
+    return _classes_by_label(
+        monoid, map(uf.find, range(monoid.order)), "action", with_strata=False
+    )

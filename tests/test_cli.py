@@ -252,13 +252,24 @@ def test_parser_is_built_once(capsys, monkeypatch):
     assert code == 0 and out == "-3\n"
 
 
-def test_classes_semigroup_uses_the_pairwise_cap(capsys, monkeypatch):
-    # 7057 elements: under the monoid cap, over the pairwise oracles' 2000,
-    # so both pairwise kinds refuse before any element is made.
+def test_classes_pairwise_kinds_answer_under_the_monoid_cap(capsys, monkeypatch):
+    # 7057 elements: past the 2000 that the all-pairs closures were held to,
+    # under the default monoid cap, so both kinds answer with Munn's count.
+    for kind in ("semigroup", "action"):
+        code, out, _ = run(
+            capsys, "classes", "--type", "B3", "--weight", "1,1,1", "--kind", kind
+        )
+        assert code == 0 and "classes: 30\n" in out, kind
+    code, out, _ = run(
+        capsys, "classes", "--type", "B3", "--weight", "1,1,1", "--kind", "munn"
+    )
+    assert code == 0 and "classes: 30\n" in out
+    # --max-monoid-order alone bounds them, still before any element is made.
     monkeypatch.setattr("renner.monoid.PartialInjection", _no_element)
     for kind in ("semigroup", "action"):
         code, out, err = run(
-            capsys, "classes", "--type", "B3", "--weight", "1,1,1", "--kind", kind
+            capsys, "classes", "--type", "B3", "--weight", "1,1,1", "--kind", kind,
+            "--max-monoid-order", "2000",
         )
         assert code == 3 and out == "" and "error:" in err, kind
 

@@ -1,10 +1,12 @@
 import pytest
 
-from conftest import make_monoid
+from conftest import grid_patterns, make_monoid
 from oracles import (
+    action_classes_pairwise,
     munn_listing_by_star_groups,
     munn_partition_by_invertible_parts,
     partition_count,
+    semigroup_classes_pairwise,
 )
 from renner import (
     SizeCapExceeded,
@@ -24,8 +26,7 @@ from renner import (
     stratum_orbit_reports,
     subrank,
 )
-from renner import conj
-from renner.conj import DEFAULT_PAIRWISE_CAP
+from renner import conj, rootsys
 from renner.monoid import element_label
 from renner.partialinj import PartialInjection, inverse, stable_domain
 
@@ -192,7 +193,7 @@ def test_munn_equals_semigroup_and_action_partitions(basic_a2, canonical_a2):
         assert munn.partition() == semigroup.partition()
         assert munn.partition() == action.partition()
         # Each class's least element is its Munn representative, so the
-        # pairwise kinds list the classes in Munn order.
+        # semigroup and action kinds list the classes in Munn order.
         assert unstratified(semigroup) == unstratified(munn)
         assert unstratified(action) == unstratified(munn)
 
@@ -322,13 +323,37 @@ def test_r2_sim_and_rep_counts(basic_a1):
     assert munn_classes(basic_a1).class_count == 4
 
 
-def test_pairwise_caps():
+def test_generator_closures_match_the_pairwise_oracles():
+    # Every grid configuration with |R| <= 500: the closures over the
+    # generators list the classes, representatives and order that the
+    # all-pairs closures do.
+    checked = 0
+    for letter, rank, mu in grid_patterns():
+        if rootsys.standard_weyl_order(letter, rank) > 500:
+            continue  # the units alone outnumber the bound
+        try:
+            R = make_monoid(letter, rank, mu, max_monoid_order=500)
+        except SizeCapExceeded:
+            continue
+        config = f"{letter}{rank}{mu}"
+        for closure, oracle in (
+            (semigroup_conjugacy_classes, semigroup_classes_pairwise),
+            (action_conjugacy_classes, action_classes_pairwise),
+        ):
+            assert closure(R) == oracle(R), config
+        checked += 1
+    assert checked == 17
+
+
+def test_pairwise_kinds_equal_munn_past_the_old_cap():
+    # 7057 elements, past the 2000 that the all-pairs closures were held to.
     R = make_monoid("B", 3, (1, 1, 1))
-    assert R.order == 7057 > DEFAULT_PAIRWISE_CAP
-    with pytest.raises(SizeCapExceeded):
-        semigroup_conjugacy_classes(R)
-    with pytest.raises(SizeCapExceeded):
-        action_conjugacy_classes(R)
+    assert R.order == 7057
+    munn = munn_classes(R)
+    for classify in (semigroup_conjugacy_classes, action_conjugacy_classes):
+        c = classify(R)
+        assert c.partition() == munn.partition()
+        assert c.representatives == munn.representatives
 
 
 def test_classifications_leave_elements_as_bare_codes(basic_b2):

@@ -25,14 +25,10 @@ import contextlib
 import functools
 import hashlib
 import io
-import itertools
 
+from conftest import grid_patterns
 from renner import cli, monoid, rootsys
 
-TYPES = [("A", r) for r in range(1, 6)] + [
-    ("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4),
-    ("D", 3), ("D", 4), ("F", 4), ("G", 2),
-]
 FORMATS = ("table", "json", "csv")
 
 GRID_DIGEST = "c4af02fc669551bca6827016b84d8fd29985fe2e75cad2a95eddb7daa1baff9e"
@@ -49,10 +45,8 @@ PAIRWISE_MAX_ORDER = 300
 
 
 def grid_configs():
-    for letter, rank in TYPES:
-        for bits in itertools.product("10", repeat=rank):
-            if "1" in bits:
-                yield ["--type", f"{letter}{rank}", "--weight", ",".join(bits)]
+    for letter, rank, mu in grid_patterns():
+        yield ["--type", f"{letter}{rank}", "--weight", ",".join(map(str, mu))]
 
 
 def digest_of(argvs):
