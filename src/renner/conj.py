@@ -3,36 +3,48 @@
 Four equivalences are computed: unit conjugacy (orbits of sigma under
 sigma -> w sigma w^{-1}), Munn conjugacy (unit conjugacy of invertible
 parts), semigroup conjugacy (transitive closure of xy ~ yx), and action
-conjugacy (transitive closure of the partial conjugation action).  Each
-stratum is one equal block per face.  The first block, on the idempotent's
-own face, lists the stabilizer cosets in order, so its unit-conjugacy
-classes are the coset orbits; every later block is the first conjugated by
-its face's transporter, so each of its elements takes the class of its
-conjugate there, found by two byte-code translations.  Unit-conjugate
-elements have unit-conjugate invertible parts, so each Munn label is read
-once per unit-conjugacy class, from the invertible part of its least
-member.  Brute force validates them in the test suite; the counts need
-only the lattice.
+conjugacy (transitive closure of the partial conjugation action).
+
+The unit-conjugacy classes of stratum e are the W(e)-orbits on the cosets
+W / W_*(e), and each Munn class merges the unit-conjugacy classes whose
+representatives have unit-conjugate invertible parts.  So
+``lattice_class_rows`` lists both kinds from the lattice, the weight orbit
+and one representative per class, without making the monoid: sum over e of
+|W / W_*(e)| cosets instead of |R| elements.  This is what the ``classes``
+command prints for them.
+
+``sim_conjugacy_classes`` and ``munn_classes`` reach the same classes
+element by element on a built monoid, and are kept as the independent
+check of that route.  Each stratum is one equal block per face.  The first
+block, on the idempotent's own face, lists the stabilizer cosets in order,
+so its unit-conjugacy classes are the coset orbits; every later block is
+the first conjugated by its face's transporter, so each of its elements
+takes the class of its conjugate there, found by two byte-code
+translations.  Unit-conjugate elements have unit-conjugate invertible
+parts, so each Munn label is read once per unit-conjugacy class, from the
+invertible part of its least member.  Brute force validates them in the
+test suite; the counts need only the lattice.
 
 The semigroup and action closures run over the monoid's generators A, the
 simple reflections and the idempotent maps of the lattice (R = W Lambda W,
 so A generates R), not over all pairs of elements: O(|R| |A|) byte-code
 translations instead of O(|R|^2).  Each function's docstring proves that
 this gives the same closure; the all-pairs closures stay in the test suite
-as oracles.
+as oracles.  Every kind is listed as ``ClassRow``s, one per class, for the
+table, CSV and JSON outputs.
 """
-
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional
+from dataclasses import dataclass, replace
+from operator import itemgetter
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .crosslat import CrossIdempotent, CrossSectionLattice
 from .errors import ConstructionError, SizeCapExceeded
-from .monoid import RennerMonoid, element_label
-from .partialinj import MAX_DEGREE, PartialInjection, inverse, invertible_part
-from .rootsys import group_conjugacy_classes, left_cosets
+from .monoid import RennerMonoid, element_label, realize_on_weight, word_times_face
+from .partialinj import MAX_DEGREE, PartialInjection, _stable_power, inverse, invertible_part
+from .rootsys import WeylElement, bfs_orbit, group_conjugacy_classes
 
 class UnionFind:
     def __init__(self, size: int):
@@ -90,34 +102,78 @@ class ConjClassification:
         return frozenset(self.classes)
 
 
+@dataclass(frozen=True)
+class ClassRow:
+    """One class as the ``classes`` command lists it: the index of its least
+    element in ``RennerMonoid.elements`` order, that element's stratum label
+    (None for the semigroup and action kinds), the class size, and the least
+    element's byte code and ``element_label``."""
+
+    index: int
+    stratum: Optional[str]
+    size: int
+    code: bytes
+    label: str
+
+
 def _coset_orbits(
-    lattice: CrossSectionLattice, e: CrossIdempotent
-) -> tuple[OrbitReport, tuple[int, ...]]:
-    """Orbits of the centralizer on the left cosets of the stabilizer,
-    acting by conjugation, and the orbit of each coset, in coset order,
-    named by its least coset's number.  The zero stratum is the single class
-    of 0, whose element's normal form has only the identity as unit."""
+    lattice: CrossSectionLattice,
+) -> tuple[tuple[OrbitReport, tuple[int, ...], tuple[WeylElement, ...]], ...]:
+    """Per idempotent, in lattice order: the orbits of the centralizer on
+    the left cosets of the stabilizer, acting by conjugation; the orbit of
+    each coset, in coset order, named by its least coset's number; and each
+    coset's least member, in (length, word) order.  The zero stratum is the
+    single class of 0, whose element's normal form has only the identity as
+    unit.
+
+    Only products with simple reflections are needed, so they are read from
+    two index tables made once for the lattice: s w and w s for every
+    simple reflection s and element w.
+    """
     group = lattice.group
-    if e.is_zero:
-        return OrbitReport(e, 1, 1, (1,)), (0,)
-    coset_min, coset_of = left_cosets(lattice.stabilizer(e))
-    uf = UnionFind(len(coset_min))
-    cent_gens = [group.generators[j] for j in sorted(e.lambda_set)]
-    for cid, u in enumerate(coset_min):
-        for g in cent_gens:
-            uf.union(cid, coset_of[group.conjugate(g, u)])
-    # Each root is its orbit's least coset number, and coset_min is in
-    # (length, word) order, so the roots name the orbits' least members and
-    # first appear in increasing order; munn_classes finds each class's
-    # least element at its root's place in the stratum's first block.
-    roots = tuple(uf.find(cid) for cid in range(len(coset_min)))
-    sizes = Counter(roots)
-    return OrbitReport(e, len(coset_min), len(sizes), tuple(sizes.values())), roots
+    elements = group.elements
+    index = {w.perm: k for k, w in enumerate(elements)}
+    left = [[index[tuple(map(s.perm.__getitem__, w.perm))] for w in elements]
+            for s in group.generators]
+    right = [[index[tuple(map(w.perm.__getitem__, s.perm))] for w in elements]
+             for s in group.generators]
+    orbits = []
+    for e in lattice.idempotents:
+        if e.is_zero:
+            orbits.append((OrbitReport(e, 1, 1, (1,)), (0,), (group.identity,)))
+            continue
+        # The coset w W_*(e) is w's orbit under right multiplication by the
+        # lambda_sub reflections, and in (length, word) order the first
+        # member met is the least.
+        moves = [right[j].__getitem__ for j in sorted(e.lambda_sub)]
+        coset_of = [-1] * len(elements)
+        coset_min: list[int] = []
+        for k in range(len(elements)):
+            if coset_of[k] < 0:
+                for w in bfs_orbit(k, moves):
+                    coset_of[w] = len(coset_min)
+                coset_min.append(k)
+        uf = UnionFind(len(coset_min))
+        for j in sorted(e.lambda_set):
+            # s normalizes W_*(e), so s u W_*(e) s is the coset of s u s.
+            s_times, times_s = left[j], right[j]
+            for cid, u in enumerate(coset_min):
+                uf.union(cid, coset_of[s_times[times_s[u]]])
+        # Each root is its orbit's least coset number, and coset_min is in
+        # (length, word) order, so the roots name the orbits' least members
+        # and first appear in increasing order; munn_classes finds each
+        # class's least element at its root's place in the stratum's first
+        # block.
+        roots = tuple(uf.find(cid) for cid in range(len(coset_min)))
+        sizes = Counter(roots)
+        report = OrbitReport(e, len(coset_min), len(sizes), tuple(sizes.values()))
+        orbits.append((report, roots, tuple(elements[k] for k in coset_min)))
+    return tuple(orbits)
 
 
 def stratum_orbit_reports(lattice: CrossSectionLattice) -> tuple[OrbitReport, ...]:
     """One report per lattice idempotent, in lattice order."""
-    return tuple(_coset_orbits(lattice, e)[0] for e in lattice.idempotents)
+    return tuple(report for report, _, _ in _coset_orbits(lattice))
 
 
 def count_sim_classes(lattice: CrossSectionLattice) -> int:
@@ -139,8 +195,7 @@ def _sim_labels(monoid: RennerMonoid) -> list[tuple[int, int]]:
     elements, index = monoid.elements, monoid.index_by_code
     pad = bytes(MAX_DEGREE - monoid.degree)  # code + pad is an element's table
     labels: list[tuple[int, int]] = [(0, 0)] * monoid.order
-    for e in monoid.lattice.idempotents:
-        roots = _coset_orbits(monoid.lattice, e)[1]
+    for e, (_, roots, _) in zip(monoid.lattice.idempotents, _coset_orbits(monoid.lattice)):
         stratum, faces = monoid.strata[e.index], monoid.face_orbits[e.index]
         block = len(stratum) // len(faces)
         if len(roots) != block:
@@ -162,7 +217,11 @@ def _sim_labels(monoid: RennerMonoid) -> list[tuple[int, int]]:
 def sim_conjugacy_classes(monoid: RennerMonoid) -> ConjClassification:
     """Unit-conjugacy classes, one per centralizer orbit on stabilizer
     cosets, each element's orbit read off its normal form (the zero
-    stratum's one orbit is the class of 0)."""
+    stratum's one orbit is the class of 0).
+
+    The ``classes`` command lists these classes by ``lattice_class_rows``,
+    without the monoid; this element-level pass is the independent check of
+    that route, and library API for callers that hold a monoid."""
     return _classes_by_label(monoid, _sim_labels(monoid), "sim")
 
 
@@ -188,7 +247,8 @@ def _classes_by_label(
 def sim_classes_bruteforce(monoid: RennerMonoid) -> ConjClassification:
     """Oracle: direct orbits of sigma -> w sigma w^{-1} over the unit group
     (conjugating by the generators suffices to close the orbits), on byte
-    codes."""
+    codes.  No command calls it; it checks ``sim_conjugacy_classes``, and
+    through it the lattice route, and the benchmark's recorder reads it."""
     index = monoid.index_by_code
     pad = bytes(MAX_DEGREE - monoid.degree)
     uf = UnionFind(monoid.order)
@@ -209,6 +269,10 @@ def munn_classes(monoid: RennerMonoid) -> ConjClassification:
     Unit-conjugate elements have unit-conjugate invertible parts, so the
     invertible part is taken once per sim class, of its least member: the
     element at its root's place in its stratum's first block.
+
+    The ``classes`` command lists these classes by ``lattice_class_rows``,
+    without the monoid; this element-level pass is the independent check of
+    that route, and library API for callers that hold a monoid.
     """
     sim = _sim_labels(monoid)
     elements, index, strata = monoid.elements, monoid.index_of, monoid.strata
@@ -217,6 +281,105 @@ def munn_classes(monoid: RennerMonoid) -> ConjClassification:
         for e, root in dict.fromkeys(sim)
     }
     return _classes_by_label(monoid, map(munn_of.__getitem__, sim), "munn")
+
+
+def lattice_class_rows(lattice: CrossSectionLattice, kind: str) -> tuple[ClassRow, ...]:
+    """The ``sim`` or ``munn`` classes of the lattice's Renner monoid, row
+    for row as ``classification_rows`` reads them off ``sim_conjugacy_classes``
+    or ``munn_classes``, from the stabilizer cosets alone: no element beyond
+    one representative per class is made.  The caller checks the monoid
+    cap; a weight orbit past ``MAX_DEGREE`` points is refused as the build
+    refuses it.
+
+    Stratum e starts at the closed-form sizes of the strata before it, and
+    its first block lists u e for the least u of each coset of W_*(e), in
+    coset order, with u as canonical unit.  So the unit-conjugacy class of
+    the coset orbit with root r has least element at offset + r, which is u
+    restricted to F_e for the root's least unit u, labelled u's word times
+    e's label; every face of e's orbit carries one equal block, so its size
+    is the orbit's size times |W| / |W(e)|.
+
+    The Munn class of a sim class is the sim class of the invertible part p
+    of its representative x.  The stable domain S of x is a face of some
+    idempotent f; for a unit t carrying F_f onto S, t^{-1} p t is a
+    permutation of F_f, so v restricted to F_f for one coset v W_*(f), and
+    unit conjugate to p.  A Munn class lists the sim classes it merges by
+    their least elements, so it takes the first one's index, stratum,
+    representative and label, and their summed size.
+    """
+    if kind not in ("sim", "munn"):
+        raise ValueError(f"no lattice route for {kind!r} classes")
+    group = lattice.group
+    on_weight, faces = realize_on_weight(lattice)
+    n = on_weight.degree
+    pad = bytes(MAX_DEGREE - n)
+    on_weight_of = dict(zip(group.elements, on_weight.elements))
+
+    def table(w: WeylElement) -> bytes:
+        """The unit of w as a translation table."""
+        return bytes(on_weight_of[w].perm) + bytes([n]) + pad
+
+    face_codes = {e: bytes([i if i in face else n for i in range(n)] + [n])
+                  for e, face in faces.items()}
+    rows: list[ClassRow] = []
+    cosets: dict[CrossIdempotent, tuple[tuple[int, ...], tuple[WeylElement, ...]]] = {}
+    offset = 0
+    for e, (_, roots, coset_min) in zip(lattice.idempotents, _coset_orbits(lattice)):
+        cosets[e] = roots, coset_min
+        face_count = group.order // lattice.centralizer(e).order
+        for root, orbit_size in Counter(roots).items():  # roots ascend
+            u = coset_min[root]
+            if e.is_zero:
+                label = "0"
+            else:
+                label = word_times_face(u.word, None if len(faces[e]) == n else e.label)
+            code = face_codes[e].translate(table(u))
+            rows.append(ClassRow(offset + root, e.label, orbit_size * face_count, code, label))
+        offset += lattice.stratum_size(e)
+    if kind == "sim":
+        return tuple(rows)
+
+    # Every nonzero face, with its idempotent and a word whose unit carries
+    # that idempotent's face onto it.
+    def mover(j: int):
+        perm = on_weight.generators[j].perm
+        return lambda item: (frozenset(perm[i] for i in item[0]), item[1] + (j,))
+
+    moves = [mover(j) for j in range(len(on_weight.generators))]
+    face_index: dict[frozenset[int], tuple[CrossIdempotent, tuple[int, ...]]] = {}
+    for f in lattice.nonzero:
+        for face, word in bfs_orbit((faces[f], ()), moves, key=itemgetter(0)):
+            if face in face_index:
+                raise ConstructionError("face orbits of distinct idempotents overlap")
+            face_index[face] = f, word
+    gen_tables = [table(g) for g in group.generators]
+    identity = bytes(range(n + 1))
+    coset_ids: dict[CrossIdempotent, dict[bytes, int]] = {}  # the f's reached
+
+    def munn_key(x: bytes) -> tuple[CrossIdempotent, int]:
+        stable = frozenset(_stable_power(x)) - {n}
+        if not stable:
+            return lattice.zero, 0
+        f, word = face_index[stable]
+        t = identity
+        for j in word:
+            t = t.translate(gen_tables[j])
+        t_inv = bytes.maketrans(t, identity)
+        p = face_codes[f].translate(t + pad).translate(x + pad).translate(t_inv)
+        roots, coset_min = cosets[f]
+        ids = coset_ids.get(f)
+        if ids is None:
+            ids = coset_ids[f] = {
+                face_codes[f].translate(table(v)): cid for cid, v in enumerate(coset_min)
+            }
+        return f, roots[ids[p]]
+
+    merged: dict[tuple[CrossIdempotent, int], ClassRow] = {}
+    for row in rows:  # ascending least elements
+        key = munn_key(row.code)
+        first = merged.get(key)
+        merged[key] = row if first is None else replace(first, size=first.size + row.size)
+    return tuple(merged.values())
 
 
 def semigroup_conjugacy_classes(monoid: RennerMonoid) -> ConjClassification:
@@ -263,9 +426,10 @@ def action_conjugacy_classes(monoid: RennerMonoid) -> ConjClassification:
     unit's domain is everything, and a unit is a word in the simple
     reflections), one allowed e move, and the unit moves by u.
 
-    The stable domain S of x is the image of its invertible part p, so it
-    lies in the domain D of g exactly when p is unchanged by the partial
-    identity on D: one translation per generator.
+    The power p = x^(2^k), 2^k > degree, is defined exactly on the stable
+    domain S of x and maps S onto S, so S lies in the domain D of g exactly
+    when p is unchanged by the partial identity on D: one translation per
+    generator.
     """
     index, n = monoid.index_by_code, monoid.degree
     moves = [
@@ -274,9 +438,9 @@ def action_conjugacy_classes(monoid: RennerMonoid) -> ConjClassification:
     ]
     uf = UnionFind(monoid.order)
     for xi, x in enumerate(monoid.elements):
-        table, cycles = x.table, invertible_part(x).code
+        table, power = x.table, _stable_power(x.code)
         for inv_code, g_table, on_domain in moves:
-            if cycles.translate(on_domain) == cycles:
+            if power.translate(on_domain) == power:
                 uf.union(xi, index[inv_code.translate(table).translate(g_table)])
     return _classes_by_label(
         monoid, map(uf.find, range(monoid.order)), "action", with_strata=False
@@ -317,28 +481,43 @@ def munn_count_rook(points: int) -> int:
     return sum(parts)
 
 
+def classification_rows(
+    monoid: RennerMonoid, classification: ConjClassification
+) -> tuple[ClassRow, ...]:
+    """One row per class, in the classification's order."""
+    return tuple(
+        ClassRow(
+            monoid.index_of(rep), e.label if e is not None else None, len(cls),
+            rep.code, element_label(monoid, rep),
+        )
+        for e, cls, rep in zip(
+            classification.strata, classification.classes, classification.representatives
+        )
+    )
+
+
 def classification_to_json(
     monoid: RennerMonoid, classification: ConjClassification
 ) -> dict:
     """Export: kind, class count, and per class its stratum label, size, and
     representative (as sorted source/target pairs plus a readable label)."""
-    classes = []
-    for e, cls, rep in zip(
-        classification.strata, classification.classes, classification.representatives
-    ):
-        classes.append(
-            {
-                "stratum": e.label if e is not None else None,
-                "size": len(cls),
-                "representative": rep.to_pairs(),
-                "label": element_label(monoid, rep),
-            }
-        )
-    return {
-        "kind": classification.kind,
-        "class_count": classification.class_count,
-        "classes": classes,
-    }
+    return class_rows_to_json(
+        classification.kind, classification_rows(monoid, classification)
+    )
+
+
+def class_rows_to_json(kind: str, rows: Sequence[ClassRow]) -> dict:
+    """The ``classification_to_json`` document of a listing's rows."""
+    classes = [
+        {
+            "stratum": row.stratum,
+            "size": row.size,
+            "representative": PartialInjection._trusted(row.code).to_pairs(),
+            "label": row.label,
+        }
+        for row in rows
+    ]
+    return {"kind": kind, "class_count": len(rows), "classes": classes}
 
 
 def orbit_report_rows(lattice: CrossSectionLattice) -> list[list]:

@@ -14,13 +14,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .crosslat import CrossIdempotent, CrossSectionLattice, build_lattice
 from .errors import ConstructionError, NotInOrbit, SizeCapExceeded, ZeroElement
 from .partialinj import MAX_DEGREE, PartialInjection, compose, inverse, stable_domain
-from .rootsys import DEFAULT_MAX_GROUP_ORDER, CartanMatrix, Weight, WeylElement, bfs_orbit
-from .rootsys import generate_weyl
+from .rootsys import DEFAULT_MAX_GROUP_ORDER, CartanMatrix, Weight, WeylElement, WeylGroup
+from .rootsys import bfs_orbit, generate_weyl
 
 DEFAULT_MAX_MONOID_ORDER = 250_000
 
@@ -136,35 +136,22 @@ def check_monoid_cap(lattice: CrossSectionLattice, max_monoid_order: int) -> Non
         )
 
 
-def build_renner(
-    cartan: CartanMatrix,
-    mu: Sequence[int],
-    *,
-    max_group_order: int = DEFAULT_MAX_GROUP_ORDER,
-    max_monoid_order: int = DEFAULT_MAX_MONOID_ORDER,
-) -> RennerMonoid:
-    """Build the Renner monoid of the J-irreducible monoid with highest
-    weight ``mu`` over the given Cartan type.
+def realize_on_weight(
+    lattice: CrossSectionLattice,
+) -> tuple[WeylGroup, dict[CrossIdempotent, frozenset[int]]]:
+    """The lattice's Weyl group realized again on the orbit of the weight,
+    and the face of each idempotent there (empty for the zero).
 
-    The Weyl group is realized again on the orbit of ``mu``, element i on
-    element i of the lattice's group (both are in (length, lex-least word)
-    order), and each face is the orbit of the weight under the lambda_star
-    generators there.
-
-    Each stratum W e W is enumerated as the units restricted to the faces of
-    the orbit of e's face (the empty face giving the zero map), faces in
-    orbit order and units in (length, word) order.  The first unit to give a
-    map is its canonical unit; on e's own face, the first unit carrying it
-    onto a face is that face's transporter.  The cap is checked against the
-    closed-form order before any element is made, and a weight orbit past
-    ``MAX_DEGREE`` points, which no byte code holds, is refused as soon as
-    it is generated; face inclusion must be the lattice order, and every
-    stratum must have its closed-form size.
+    Element i of the realization is element i of the lattice's group: both
+    are in (length, lex-least word) order, which is checked.  Each face is
+    the orbit of the weight (vertex 0) under the lambda_star generators.  A
+    weight orbit past ``MAX_DEGREE`` points, which no byte code holds, is
+    refused as soon as it is generated; face inclusion must be the lattice
+    order, and the top face must be the whole orbit.
     """
-    lattice = build_lattice(cartan, mu, max_group_order=max_group_order)
-    check_monoid_cap(lattice, max_monoid_order)
     group = lattice.group
-    on_weight = generate_weyl(cartan, lattice.weight_spec.mu, max_order=max_group_order)
+    # The orbit has at most |W| points, and |W| passed the group cap.
+    on_weight = generate_weyl(group.cartan, lattice.weight_spec.mu, max_order=group.order)
     degree = on_weight.degree
     if degree > MAX_DEGREE:
         raise SizeCapExceeded(f"weight orbit of degree {degree} exceeds {MAX_DEGREE} points")
@@ -189,6 +176,35 @@ def build_renner(
     if faces[lattice.one] != frozenset(range(degree)):
         raise ConstructionError("top idempotent face is not the whole vertex set")
     faces[lattice.zero] = frozenset()
+    return on_weight, faces
+
+
+def build_renner(
+    cartan: CartanMatrix,
+    mu: Sequence[int],
+    *,
+    max_group_order: int = DEFAULT_MAX_GROUP_ORDER,
+    max_monoid_order: int = DEFAULT_MAX_MONOID_ORDER,
+) -> RennerMonoid:
+    """Build the Renner monoid of the J-irreducible monoid with highest
+    weight ``mu`` over the given Cartan type.
+
+    The Weyl group and the faces are realized on the orbit of ``mu`` by
+    ``realize_on_weight``.
+
+    Each stratum W e W is enumerated as the units restricted to the faces of
+    the orbit of e's face (the empty face giving the zero map), faces in
+    orbit order and units in (length, word) order.  The first unit to give a
+    map is its canonical unit; on e's own face, the first unit carrying it
+    onto a face is that face's transporter.  The cap is checked against the
+    closed-form order before the weight orbit is generated, and every
+    stratum must have its closed-form size.
+    """
+    lattice = build_lattice(cartan, mu, max_group_order=max_group_order)
+    check_monoid_cap(lattice, max_monoid_order)
+    group = lattice.group
+    on_weight, faces = realize_on_weight(lattice)
+    degree = on_weight.degree
 
     elements: list[PartialInjection] = []
     canonical_units: list[WeylElement] = []
@@ -242,7 +258,9 @@ def normal_form(monoid: RennerMonoid, sigma: PartialInjection) -> NormalForm:
 
     The unit is the (length, word)-least one agreeing with sigma on its
     domain, recorded when the build made sigma, so the form is
-    deterministic; the zero element is rejected.
+    deterministic; the zero element is rejected.  The element-level
+    classifications label their representatives through it; the lattice
+    route of ``classes`` reads the same unit off its coset instead.
     """
     if sigma == monoid.zero:
         raise ZeroElement("the zero element has no normal form")
@@ -289,7 +307,8 @@ def project(monoid: RennerMonoid, sigma: PartialInjection) -> PartialInjection:
     lattice face (an element of the realized lambda_star subgroup).
 
     Units project to themselves; conjugating by the transporters preserves
-    products of composable pairs within a stratum.
+    products of composable pairs within a stratum.  No command calls it: a
+    Munn-class oracle of the tests and the benchmark's micro-timings do.
     """
     if sigma == monoid.zero:
         raise ZeroElement("the zero element has no projection")
@@ -305,15 +324,28 @@ def element_label(monoid: RennerMonoid, sigma: PartialInjection) -> str:
     if sigma == monoid.zero:
         return "0"
     form = normal_form(monoid, sigma)
-    word = "".join(f"s{i + 1}" for i in form.unit.word) or "1"
     if len(form.domain_face) == monoid.degree:
-        return word
+        return word_times_face(form.unit.word, None)
     idem = monoid.face_to_idem[form.domain_face]
     if form.domain_face == monoid.face(idem):
         face = idem.label
     else:
         face = "e[" + ",".join(str(i) for i in sorted(form.domain_face)) + "]"
-    return face if word == "1" else f"{word}*{face}"
+    return word_times_face(form.unit.word, face)
+
+
+def word_times_face(word: Sequence[int], face: Optional[str]) -> str:
+    """The label of a nonzero element from its unit's word and its domain
+    face's name (None for a unit): "1" for the empty word, the face alone
+    under it.
+
+    >>> word_times_face((0, 1), "e_0"), word_times_face((), "e_0"), word_times_face((), None)
+    ('s1s2*e_0', 'e_0', '1')
+    """
+    name = "".join(f"s{i + 1}" for i in word) or "1"
+    if face is None:
+        return name
+    return face if name == "1" else f"{name}*{face}"
 
 
 def monoid_to_json(monoid: RennerMonoid) -> str:

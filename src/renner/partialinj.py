@@ -156,10 +156,21 @@ def invertible_part(sigma: PartialInjection) -> PartialInjection:
     [0, 4, 5]
     """
     n = sigma.degree
-    pad = bytes(MAX_DEGREE - n)
-    power, steps = sigma.code, 1
-    while steps <= n:
-        power, steps = power.translate(power + pad), 2 * steps
+    power = _stable_power(sigma.code)
     # maketrans sends each image back to its source: the inverse's table.
     cycles = power.translate(bytes.maketrans(power, _BYTES[: n + 1]))
     return PartialInjection(cycles.translate(sigma.table))
+
+
+def _stable_power(code: bytes) -> bytes:
+    """The code of sigma^(2^k), 2^k > degree, for sigma's code, by k
+    squarings.  A point off every cycle leaves the domain within ``degree``
+    steps, so this power is defined exactly on the stable domain S and maps
+    S onto S: its image is S, and S lies in a set D exactly when the
+    partial identity on D leaves it unchanged."""
+    n = len(code) - 1
+    pad = bytes(MAX_DEGREE - n)
+    power, steps = code, 1
+    while steps <= n:
+        power, steps = power.translate(power + pad), 2 * steps
+    return power

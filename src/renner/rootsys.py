@@ -309,23 +309,6 @@ def parabolic(group: WeylGroup, indices: Iterable[int]) -> Subgroup:
     return Subgroup(group, J, tuple(w for w in group.elements if J.issuperset(w.word)))
 
 
-def left_cosets(sub: Subgroup) -> tuple[tuple[WeylElement, ...], dict[WeylElement, int]]:
-    """Tile the parent group by the left cosets w*W_J of a parabolic.
-
-    Returns the minimal-length member of each coset, in (length, word)
-    order, and the position of every group element's coset in that list.
-    """
-    group = sub.parent
-    coset_of: dict[WeylElement, int] = {}
-    reps: list[WeylElement] = []
-    for w in group.elements:  # (length, word) order: first hit is the min rep
-        if w in coset_of:
-            continue
-        coset_of.update((group.mul(w, h), len(reps)) for h in sub.members)
-        reps.append(w)
-    return tuple(reps), coset_of
-
-
 def group_conjugacy_classes(sub: Subgroup) -> tuple[tuple[WeylElement, ...], ...]:
     """Conjugation orbits of the subgroup acting on itself, each closed by
     ``bfs_orbit`` under conjugation by the subgroup's simple generators.

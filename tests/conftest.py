@@ -1,8 +1,9 @@
+import functools
 import itertools
 
 import pytest
 
-from renner import PartialInjection, SizeCapExceeded, build_renner, cartan_matrix
+from renner import PartialInjection, SizeCapExceeded, build_lattice, build_renner, cartan_matrix
 
 # Every supported type whose Weyl group fits the default cap.
 GRID_TYPES = [("A", r) for r in range(1, 6)] + [
@@ -18,6 +19,11 @@ def grid_patterns():
         for mu in itertools.product((1, 0), repeat=rank):
             if any(mu):
                 yield letter, rank, mu
+
+
+# Lattices are fixed at construction, so one per configuration serves every
+# test that asks for it, through the CLI (patched in) or directly.
+cached_build_lattice = functools.cache(build_lattice)
 
 
 def make_monoid(letter, rank, weight, **kwargs):

@@ -8,7 +8,9 @@ multiplication.  The Munn classes are also found by two more routes: through
 projections onto the lambda_star parabolics and their conjugacy classes, and
 element by element, from the unit-conjugacy class of each invertible part.
 The semigroup and action classes are closed over all pairs of elements, in
-O(|R|^2), where the library closes them over the generators.
+O(|R|^2), where the library closes them over the generators.  The cosets of
+a parabolic are tiled by whole-subgroup products, where the library walks
+products with simple reflections.
 """
 
 from itertools import combinations, permutations
@@ -23,7 +25,7 @@ from renner.partialinj import (
     invertible_part,
     stable_domain,
 )
-from renner.rootsys import group_conjugacy_classes
+from renner.rootsys import Subgroup, WeylElement, group_conjugacy_classes
 
 
 def all_partial_injections(n):
@@ -213,3 +215,21 @@ def action_classes_pairwise(monoid):
     return _classes_by_label(
         monoid, map(uf.find, range(monoid.order)), "action", with_strata=False
     )
+
+
+def left_cosets(sub: Subgroup) -> tuple[tuple[WeylElement, ...], dict[WeylElement, int]]:
+    """Tile the parent group by the left cosets w*W_J of a parabolic, by
+    multiplying each new least member by the whole subgroup.
+
+    Returns the minimal-length member of each coset, in (length, word)
+    order, and the position of every group element's coset in that list.
+    """
+    group = sub.parent
+    coset_of: dict[WeylElement, int] = {}
+    reps: list[WeylElement] = []
+    for w in group.elements:  # (length, word) order: first hit is the min rep
+        if w in coset_of:
+            continue
+        coset_of.update((group.mul(w, h), len(reps)) for h in sub.members)
+        reps.append(w)
+    return tuple(reps), coset_of

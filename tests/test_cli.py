@@ -182,7 +182,7 @@ def test_negative_caps_are_invalid_input(capsys, option):
     assert code == 3 and out == "" and "exceeds the cap 0" in err
 
 
-def _no_element(*args):
+def _no_element(*args, **kwargs):
     raise AssertionError("the monoid build ran")
 
 
@@ -311,6 +311,38 @@ total: 35
     ("reps", "table"): "12\n",
     ("reps", "json"): '{\n  "irreducible_representations": 12\n}\n',
 }
+
+
+def test_sim_and_munn_classes_never_build_the_monoid(capsys, monkeypatch):
+    # Both kinds answer from the lattice; the closures still build.
+    monkeypatch.setattr("renner.cli.build_renner", _no_element)
+    config = ("--type", "B3", "--weight", "1,1,1")
+    for kind, count in (("sim", 197), ("munn", 30)):
+        for fmt in ("table", "csv"):
+            code, _, _ = run(capsys, "classes", *config, "--kind", kind, "--format", fmt)
+            assert code == 0, (kind, fmt)
+        code, out, _ = run(capsys, "classes", *config, "--kind", kind, "--format", "json")
+        assert code == 0 and json.loads(out)["class_count"] == count, kind
+    for kind in ("semigroup", "action"):
+        with pytest.raises(AssertionError, match="the monoid build ran"):
+            run(capsys, "classes", *config, "--kind", kind)
+    # Over the cap, both refuse before the weight orbit is generated (1152
+    # points for canonical F4; the lattice needs only the 24 of omega_1).
+    sizes = []
+    original = rootsys.weight_orbit
+
+    def recording(*args, **kwargs):
+        orbit = original(*args, **kwargs)
+        sizes.append(len(orbit))
+        return orbit
+
+    monkeypatch.setattr("renner.rootsys.weight_orbit", recording)
+    for kind in ("sim", "munn"):
+        code, out, err = run(
+            capsys, "classes", "--type", "F4", "--weight", "1,1,1,1", "--kind", kind
+        )
+        assert code == 3 and out == "" and "exceeds the cap 250000" in err, kind
+    assert sizes and max(sizes) <= 24
 
 
 @pytest.mark.parametrize("command,fmt", sorted(COUNTS_AND_REPS_OUTPUT))

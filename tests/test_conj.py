@@ -1,8 +1,9 @@
 import pytest
 
-from conftest import grid_patterns, make_monoid
+from conftest import cached_build_lattice, grid_patterns, make_monoid
 from oracles import (
     action_classes_pairwise,
+    left_cosets,
     munn_listing_by_star_groups,
     munn_partition_by_invertible_parts,
     partition_count,
@@ -11,11 +12,14 @@ from oracles import (
 from renner import (
     SizeCapExceeded,
     action_conjugacy_classes,
+    cartan_matrix,
+    classification_rows,
     classification_to_json,
     compose,
     count_sim_classes,
     invertible_part,
     irreducible_rep_count,
+    lattice_class_rows,
     munn_classes,
     munn_count_rook,
     orbit_report_rows,
@@ -27,6 +31,7 @@ from renner import (
     subrank,
 )
 from renner import conj, rootsys
+from renner.rootsys import DEFAULT_MAX_GROUP_ORDER
 from renner.monoid import element_label
 from renner.partialinj import PartialInjection, inverse, stable_domain
 
@@ -443,3 +448,52 @@ def test_first_basic_b3_full_stack():
     assert irreducible_rep_count(R.lattice) == 17
     assert munn.partition() == semigroup_conjugacy_classes(R).partition()
     assert munn.partition() == action_conjugacy_classes(R).partition()
+
+
+def grid_lattices(max_order):
+    """(config, lattice) for every grid configuration with |R| <= max_order,
+    each lattice built as the CLI builds it, so the golden digests reuse it."""
+    for letter, rank, mu in grid_patterns():
+        lattice = cached_build_lattice(
+            cartan_matrix(letter, rank), mu, max_group_order=DEFAULT_MAX_GROUP_ORDER
+        )
+        if lattice.monoid_order <= max_order:
+            yield (letter, rank, mu), lattice
+
+
+def test_lattice_route_lists_the_element_level_classes(small_grid):
+    # Every grid configuration with |R| <= 5000: the rows made from the
+    # cosets alone equal, in order, the least index, stratum, size,
+    # representative code and element_label read off the built monoid.
+    built = dict(small_grid[0])
+    checked = 0
+    for config, lattice in grid_lattices(5000):
+        R = built.get("{}{}{}".format(*config)) or make_monoid(*config, max_monoid_order=5000)
+        for kind, classify in (("sim", sim_conjugacy_classes), ("munn", munn_classes)):
+            rows = lattice_class_rows(lattice, kind)
+            assert rows == classification_rows(R, classify(R)), (config, kind)
+        checked += 1
+    assert checked == 41
+
+
+def test_lattice_route_counts_on_the_grid():
+    # Every grid configuration with |R| <= 20 000: the coset minima are
+    # the oracle's, sim classes as many as the counts total, Munn classes as
+    # many as the representations, and the class sizes of each kind summing
+    # to the closed-form |R|.
+    checked = 0
+    for config, lattice in grid_lattices(20000):
+        for e, (_, _, coset_min) in zip(lattice.idempotents, conj._coset_orbits(lattice)):
+            if not e.is_zero:
+                assert coset_min == left_cosets(lattice.stabilizer(e))[0], (config, e.label)
+        sim = lattice_class_rows(lattice, "sim")
+        munn = lattice_class_rows(lattice, "munn")
+        assert len(sim) == sum(row[4] for row in orbit_report_rows(lattice)), config
+        assert len(munn) == irreducible_rep_count(lattice), config
+        for rows in (sim, munn):
+            assert sum(row.size for row in rows) == lattice.monoid_order, config
+        checked += 1
+    assert checked == 58
+    # The closures have no lattice route.
+    with pytest.raises(ValueError):
+        lattice_class_rows(lattice, "action")

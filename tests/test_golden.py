@@ -26,8 +26,8 @@ import functools
 import hashlib
 import io
 
-from conftest import grid_patterns
-from renner import cli, monoid, rootsys
+from conftest import cached_build_lattice, grid_patterns
+from renner import cli, rootsys
 
 FORMATS = ("table", "json", "csv")
 
@@ -95,14 +95,13 @@ def pairwise_argvs():
 
 
 def test_lattice_counts_reps_grid_digest(monkeypatch):
-    monkeypatch.setattr(cli, "build_lattice", functools.cache(cli.build_lattice))
+    monkeypatch.setattr(cli, "build_lattice", cached_build_lattice)
     assert digest_of(grid_argvs()) == (GRID_DIGEST, 147 * 9)
 
 
 def test_sim_and_munn_classes_grid_digest(monkeypatch):
-    # A refused build raises, so it is not cached; its lattice is.
-    monkeypatch.setattr(monoid, "build_lattice", functools.cache(monoid.build_lattice))
-    monkeypatch.setattr(cli, "build_renner", functools.cache(cli.build_renner))
+    # Both kinds answer from the lattice, refused ones included.
+    monkeypatch.setattr(cli, "build_lattice", cached_build_lattice)
     assert digest_of(classes_argvs()) == (CLASSES_DIGEST, 147 * 6)
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import make_monoid, zero_map
-from oracles import all_partial_injections, double_coset, generator_closure
+from oracles import all_partial_injections, double_coset, generator_closure, left_cosets
 from renner import (
     NotInOrbit,
     PartialInjection,
@@ -23,7 +23,6 @@ from renner import (
     weight_orbit,
 )
 from renner.monoid import element_label
-from renner.rootsys import left_cosets
 
 
 def test_weight_orbit_sizes():

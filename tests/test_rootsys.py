@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from oracles import s3_conjugacy_class_count, signed_orbit_b2, subgroup_closure
+from oracles import left_cosets, s3_conjugacy_class_count, signed_orbit_b2, subgroup_closure
 from renner import (
     InvalidType,
     SizeCapExceeded,
@@ -16,7 +16,7 @@ from renner import (
     standard_weyl_order,
     weight_orbit,
 )
-from renner.rootsys import check_group_cap, left_cosets
+from renner.rootsys import check_group_cap
 
 
 def test_cartan_matrix_rank_two_tables():
