@@ -7,10 +7,13 @@ table, JSON, or CSV.  Only ``build`` and ``classes --kind semigroup|action``
 build the monoid.  ``classes --kind sim|munn`` list their classes from the
 lattice's stabilizer cosets and the faces on the weight orbit: canonical D4
 (|R| = 166 081) takes 0.2-0.4 s a call, against 1.1-1.6 s when it was
-built (2-vCPU machine, Python 3.11, fresh process).  ``counts`` and
-``reps`` read only the lattice.  Every monoid-level command checks
-``--max-monoid-order`` against the closed-form |R| first.  Exit codes: 0
-success, 2 invalid input, 3 size cap exceeded.
+built (2-vCPU machine, Python 3.11, fresh process).  ``lattice`` prints
+the closed-form subgroup orders and generates no Weyl group; ``counts`` and
+``reps`` read only the lattice and its group on the orbit of the first
+fundamental weight.  Every monoid-level command checks
+``--max-monoid-order`` against the closed-form |R| first, so a refusal
+generates no group or orbit.  Exit codes: 0 success, 2 invalid input, 3
+size cap exceeded.
 """
 
 from __future__ import annotations
@@ -135,15 +138,15 @@ def _set_notation(indices: frozenset[int]) -> str:
 
 def cmd_lattice(args: argparse.Namespace) -> None:
     lattice = _lattice(args)
-    cartan = lattice.group.cartan
+    cartan = lattice.cartan
     header = ["e", "lambda_star", "lambda_sub", "|W(e)|", "|W_*(e)|"]
     rows = [
         [
             e.label,
             _set_notation(e.lambda_star),
             _set_notation(e.lambda_sub),
-            lattice.centralizer(e).order,
-            lattice.stabilizer(e).order,
+            lattice.centralizer_order(e),
+            lattice.stabilizer_order(e),
         ]
         for e in lattice.idempotents
     ]
@@ -157,8 +160,8 @@ def cmd_lattice(args: argparse.Namespace) -> None:
                         "label": e.label,
                         "lambda_star": sorted(i + 1 for i in e.lambda_star),
                         "lambda_sub": sorted(i + 1 for i in e.lambda_sub),
-                        "centralizer_order": lattice.centralizer(e).order,
-                        "stabilizer_order": lattice.stabilizer(e).order,
+                        "centralizer_order": lattice.centralizer_order(e),
+                        "stabilizer_order": lattice.stabilizer_order(e),
                     }
                     for e in lattice.idempotents
                 ],

@@ -127,16 +127,11 @@ def _coset_orbits(
     unit.
 
     Only products with simple reflections are needed, so they are read from
-    two index tables made once for the lattice: s w and w s for every
-    simple reflection s and element w.
+    the group's index tables: s w and w s for every simple reflection s and
+    element w.
     """
     group = lattice.group
-    elements = group.elements
-    index = {w.perm: k for k, w in enumerate(elements)}
-    left = [[index[tuple(map(s.perm.__getitem__, w.perm))] for w in elements]
-            for s in group.generators]
-    right = [[index[tuple(map(w.perm.__getitem__, s.perm))] for w in elements]
-             for s in group.generators]
+    elements, left, right = group.elements, group.left, group.right
     orbits = []
     for e in lattice.idempotents:
         if e.is_zero:
@@ -326,7 +321,7 @@ def lattice_class_rows(lattice: CrossSectionLattice, kind: str) -> tuple[ClassRo
     offset = 0
     for e, (_, roots, coset_min) in zip(lattice.idempotents, _coset_orbits(lattice)):
         cosets[e] = roots, coset_min
-        face_count = group.order // lattice.centralizer(e).order
+        face_count = lattice.weyl_order // lattice.centralizer_order(e)
         for root, orbit_size in Counter(roots).items():  # roots ascend
             u = coset_min[root]
             if e.is_zero:
@@ -528,8 +523,8 @@ def orbit_report_rows(lattice: CrossSectionLattice) -> list[list]:
         rows.append(
             [
                 e.label,
-                lattice.centralizer(e).order,
-                lattice.stabilizer(e).order,
+                lattice.centralizer_order(e),
+                lattice.stabilizer_order(e),
                 report.coset_count,
                 report.orbit_count,
             ]

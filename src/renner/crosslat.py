@@ -10,9 +10,11 @@ to the monoid.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ConstructionError, FaithfulnessError
 from .rootsys import (
@@ -20,6 +22,7 @@ from .rootsys import (
     CartanMatrix,
     Subgroup,
     WeylGroup,
+    _order_factors,
     check_group_cap,
     generate_weyl,
     parabolic,
@@ -101,6 +104,42 @@ def connected_components(
     return tuple(parts)
 
 
+def component_order(component: frozenset[int], cartan: CartanMatrix) -> int:
+    """Order of the Weyl group of one connected piece of the Dynkin diagram,
+    typed from its Cartan submatrix (Bourbaki's plates): a bond product
+    a_ij a_ji of 3 is G2; one of 2 is F4 when the piece is all four nodes of
+    F, else B or C (same order); a node of degree 3 is D; anything else is A.
+
+    >>> from renner.rootsys import cartan_matrix
+    >>> component_order(frozenset(range(4)), cartan_matrix("F", 4))
+    1152
+    >>> component_order(frozenset({0, 1}), cartan_matrix("B", 3))
+    6
+    """
+    rows = cartan.rows
+    bonds = {rows[i][j] * rows[j][i] for i in component for j in component if i != j}
+    if 3 in bonds:
+        letter = "G"
+    elif 2 in bonds:
+        letter = "F" if cartan.letter == "F" and len(component) == 4 else "B"
+    elif any(sum(cartan.adjacent(i, j) for j in component) == 3 for i in component):
+        letter = "D"
+    else:
+        letter = "A"
+    return math.prod(_order_factors(letter, len(component)))
+
+
+def parabolic_order(subset: Iterable[int], cartan: CartanMatrix) -> int:
+    """|W_J|, the product of its connected pieces' orders; no group is made.
+
+    >>> from renner.rootsys import cartan_matrix
+    >>> d4 = cartan_matrix("D", 4)
+    >>> parabolic_order({0, 1, 3}, d4), parabolic_order({0, 2, 3}, d4)
+    (24, 8)
+    """
+    return math.prod(component_order(c, cartan) for c in connected_components(subset, cartan))
+
+
 def is_admissible(subset: frozenset[int], j0: frozenset[int], cartan: CartanMatrix) -> bool:
     """True when no connected component of the subset lies inside j0."""
     return all(not comp <= j0 for comp in connected_components(subset, cartan))
@@ -134,28 +173,44 @@ class CrossSectionLattice:
     nonzero idempotents is lambda_star inclusion (``build_renner`` checks
     that it agrees with face inclusion, the idempotent-product order).
 
-    The parabolic subgroups the accessors serve (the whole group, the
-    trivial group, and each idempotent's lambda_star, lambda_sub and their
-    union) are built at construction, so the lattice is fixed from then on
-    and safe to share.
+    The centralizer and stabilizer orders, and so the stratum sizes and
+    |R|, are closed-form products over Dynkin components, fixed at
+    construction: a lattice query or a cap check makes no group.  The Weyl
+    group and its parabolic subgroups are made when first asked for: the
+    group once, under the lattice's lock; each subgroup published by one
+    ``dict.setdefault``, so every caller gets the first one stored.  The
+    lattice is safe to share.
     """
 
     def __init__(
         self,
-        group: WeylGroup,
+        cartan: CartanMatrix,
         weight_spec: DominantWeightSpec,
         idempotents: tuple[CrossIdempotent, ...],
     ):
-        self.group = group
+        self.cartan = cartan
         self.weight_spec = weight_spec
         self.idempotents = idempotents
         self.zero = idempotents[0]
         self.one = idempotents[-1]
-        index_sets = [frozenset(range(group.cartan.rank)), frozenset()]
-        for e in self.nonzero:
-            index_sets += [e.lambda_star, e.lambda_sub, e.lambda_set]
-        self._parabolics = {J: parabolic(group, J) for J in dict.fromkeys(index_sets)}
+        self.weyl_order = standard_weyl_order(cartan.letter, cartan.rank)
+        index_sets = {J for e in self.nonzero for J in (e.lambda_set, e.lambda_sub)}
+        self._orders = {J: parabolic_order(J, cartan) for J in index_sets}
+        self._group: Optional[WeylGroup] = None
+        self._lock = threading.Lock()
+        self._parabolics: dict[frozenset[int], Subgroup] = {}
         self._verify()
+
+    @property
+    def group(self) -> WeylGroup:
+        """W on the orbit of the first fundamental weight (at most 24
+        points), generated on first access and checked to act faithfully,
+        so that the subgroups' stored words are reduced in W itself."""
+        if self._group is None:
+            with self._lock:
+                if self._group is None:
+                    self._group = _faithful_group(self.cartan)
+        return self._group
 
     @property
     def nonzero(self) -> tuple[CrossIdempotent, ...]:
@@ -176,19 +231,23 @@ class CrossSectionLattice:
         return e.lambda_star <= f.lambda_star
 
     def _parabolic(self, indices: Iterable[int]) -> Subgroup:
-        return self._parabolics[frozenset(indices)]
+        J = frozenset(indices)
+        sub = self._parabolics.get(J)
+        if sub is None:
+            sub = self._parabolics.setdefault(J, parabolic(self.group, J))
+        return sub
 
     def centralizer(self, e: CrossIdempotent) -> Subgroup:
         """The units commuting with e; the whole group for e = 0."""
         if e.is_zero:
-            return self._parabolic(range(self.group.cartan.rank))
+            return self._parabolic(range(self.cartan.rank))
         return self._parabolic(e.lambda_set)
 
     def stabilizer(self, e: CrossIdempotent) -> Subgroup:
         """The units w with w*e = e; everything kills zero, so the whole
         group for e = 0."""
         if e.is_zero:
-            return self._parabolic(range(self.group.cartan.rank))
+            return self._parabolic(range(self.cartan.rank))
         return self._parabolic(e.lambda_sub)
 
     def star_group(self, e: CrossIdempotent) -> Subgroup:
@@ -197,11 +256,19 @@ class CrossSectionLattice:
             return self._parabolic(())
         return self._parabolic(e.lambda_star)
 
+    def centralizer_order(self, e: CrossIdempotent) -> int:
+        """|W(e)|, the order of ``centralizer(e)``, in closed form."""
+        return self.weyl_order if e.is_zero else self._orders[e.lambda_set]
+
+    def stabilizer_order(self, e: CrossIdempotent) -> int:
+        """|W_*(e)|, the order of ``stabilizer(e)``, in closed form."""
+        return self.weyl_order if e.is_zero else self._orders[e.lambda_sub]
+
     def stratum_size(self, e: CrossIdempotent) -> int:
         """|W e W| = |W|^2 / (|W(e)| * |W_*(e)|), by the Renner
         decomposition; the zero's conventions (both subgroups are W) give 1."""
-        w = self.group.order
-        return (w // self.centralizer(e).order) * (w // self.stabilizer(e).order)
+        w = self.weyl_order
+        return (w // self.centralizer_order(e)) * (w // self.stabilizer_order(e))
 
     @property
     def monoid_order(self) -> int:
@@ -217,12 +284,25 @@ class CrossSectionLattice:
                 raise ConstructionError(f"lambda_sub escapes the zero pattern for {e.label}")
 
 
+def _faithful_group(cartan: CartanMatrix) -> WeylGroup:
+    """W generated on the orbit of the first fundamental weight, refused
+    unless it acts faithfully there."""
+    omega1 = (1,) + (0,) * (cartan.rank - 1)
+    expected = standard_weyl_order(cartan.letter, cartan.rank)
+    group = generate_weyl(cartan, omega1, max_order=expected)
+    if group.order != expected:
+        raise FaithfulnessError(
+            f"Weyl group acts unfaithfully on the orbit of {omega1}: "
+            f"closure has order {group.order}, expected {expected}"
+        )
+    return group
+
+
 def cross_section_lattice(
-    group: WeylGroup, weight_spec: DominantWeightSpec
+    cartan: CartanMatrix, weight_spec: DominantWeightSpec
 ) -> CrossSectionLattice:
-    """Build the cross-section lattice of the weight's zero pattern over a
-    faithful realization of its Weyl group (on any orbit)."""
-    cartan = group.cartan
+    """Build the cross-section lattice of the weight's zero pattern over the
+    given Cartan type; no group is made."""
     j0 = weight_spec.j0
     rank = cartan.rank
     idems = [CrossIdempotent(0, "0", frozenset(), frozenset(), True)]
@@ -240,7 +320,7 @@ def cross_section_lattice(
                     is_zero=False,
                 )
             )
-    return CrossSectionLattice(group, weight_spec, tuple(idems))
+    return CrossSectionLattice(cartan, weight_spec, tuple(idems))
 
 
 def build_lattice(
@@ -249,21 +329,13 @@ def build_lattice(
     """The cross-section lattice of the J-irreducible monoid with highest
     weight ``mu`` over the given Cartan type.
 
-    Refuses a Weyl group over the cap from its closed-form order, then
-    generates it on the orbit of the first fundamental weight (at most 24
-    points; the lattice needs only W and J0) and checks that it acts
-    faithfully, so every count read off the lattice is the monoid's.
+    Refuses a Weyl group over the cap from its closed-form order.  The
+    lattice needs only the type and J0; its ``group``, on the orbit of the
+    first fundamental weight, is generated and checked for faithfulness
+    when a caller first reads it.
     """
     spec = DominantWeightSpec(tuple(mu))
     if len(spec.mu) != cartan.rank:
         raise ValueError(f"weight has length {len(spec.mu)}, expected rank {cartan.rank}")
     check_group_cap(cartan.letter, cartan.rank, max_group_order)
-    omega1 = (1,) + (0,) * (cartan.rank - 1)
-    group = generate_weyl(cartan, omega1, max_order=max_group_order)
-    expected = standard_weyl_order(cartan.letter, cartan.rank)
-    if group.order != expected:
-        raise FaithfulnessError(
-            f"Weyl group acts unfaithfully on the orbit of {omega1}: "
-            f"closure has order {group.order}, expected {expected}"
-        )
-    return cross_section_lattice(group, spec)
+    return cross_section_lattice(cartan, spec)

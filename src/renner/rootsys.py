@@ -4,12 +4,14 @@ Weights are plain integer tuples in fundamental-weight coordinates.  A Weyl
 group is realized concretely: the orbit of a seed weight under the simple
 reflections becomes the vertex set, and every group element is stored as a
 permutation of that orbit together with its Coxeter length and its lex-least
-reduced word over the simple generators.
+reduced word over the simple generators, and is named by its position in
+the group's index tables of products with simple reflections.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
@@ -198,9 +200,15 @@ class WeylGroup:
     """A Weyl group realized as permutations of a weight orbit.
 
     ``elements`` is in BFS order from the identity, which coincides with
-    sorting by (length, lex-least reduced word).  Products of elements are
-    resolved through a permutation table, so every product is one of the
+    sorting by (length, lex-least reduced word); an element's position there
+    names it in the index tables.  ``right[i][k]`` is the position of
+    w_k s_i and ``left[i][k]`` that of s_i w_k, so products with simple
+    reflections are list lookups.  Other products are resolved through the
+    one permutation index the BFS built, so every product is one of the
     stored canonical elements.
+
+    ``left`` is derived on first use, once, under the group's lock;
+    everything else is fixed at construction.
     """
 
     def __init__(
@@ -208,14 +216,20 @@ class WeylGroup:
         cartan: CartanMatrix,
         vertex_orbit: tuple[Weight, ...],
         elements: tuple[WeylElement, ...],
-        generators: tuple[WeylElement, ...],
+        index: dict[tuple[int, ...], int],
+        right: tuple[tuple[int, ...], ...],
+        parents: tuple[int, ...],
     ):
         self.cartan = cartan
         self.vertex_orbit = vertex_orbit
         self.elements = elements
-        self.generators = generators
+        self.right = right
+        self.generators = tuple(elements[row[0]] for row in right)
         self.identity = elements[0]
-        self._by_perm = {w.perm: w for w in elements}
+        self._index = index
+        self._parents = parents
+        self._left: Optional[tuple[tuple[int, ...], ...]] = None
+        self._lock = threading.Lock()
 
     @property
     def order(self) -> int:
@@ -229,21 +243,41 @@ class WeylGroup:
         return iter(self.elements)
 
     def __contains__(self, w: WeylElement) -> bool:
-        return self._by_perm.get(w.perm) == w
+        k = self._index.get(w.perm)
+        return k is not None and self.elements[k] == w
 
     def mul(self, a: WeylElement, b: WeylElement) -> WeylElement:
         """Product a*b, acting as b first (function composition)."""
-        return self._by_perm[tuple(a.perm[x] for x in b.perm)]
+        return self.elements[self._index[tuple(a.perm[x] for x in b.perm)]]
 
     def inv(self, a: WeylElement) -> WeylElement:
         p = [0] * len(a.perm)
         for i, ai in enumerate(a.perm):
             p[ai] = i
-        return self._by_perm[tuple(p)]
+        return self.elements[self._index[tuple(p)]]
 
-    def conjugate(self, w: WeylElement, x: WeylElement) -> WeylElement:
-        """w x w^{-1}."""
-        return self.mul(self.mul(w, x), self.inv(w))
+    @property
+    def left(self) -> tuple[tuple[int, ...], ...]:
+        """``left[i][k]``: the position of s_i w_k.  Element k > 0 is
+        w_p s_j for its BFS parent p and the last letter j of its word, and
+        s_i (w_p s_j) = (s_i w_p) s_j, so each entry is one ``right`` lookup
+        on an entry made before it."""
+        if self._left is None:
+            with self._lock:
+                if self._left is None:
+                    self._left = self._left_table()
+        return self._left
+
+    def _left_table(self) -> tuple[tuple[int, ...], ...]:
+        right = self.right
+        steps = [(p, w.word[-1]) for p, w in zip(self._parents[1:], self.elements[1:])]
+        table = []
+        for times_s in right:
+            row = [times_s[0]]  # s_i times the identity
+            for p, j in steps:
+                row.append(right[j][row[p]])
+            table.append(tuple(row))
+        return tuple(table)
 
 
 def generate_weyl(
@@ -257,61 +291,82 @@ def generate_weyl(
     in lex order and the first word reaching an element is its minimum.
     That order, (length, lex-least word), is a property of the Coxeter
     group, so two faithful realizations list the same words index by index.
+    The BFS runs on element positions: expanding element k records
+    ``right[i][k]``, the position of w_k s_i, and each new element's parent.
 
     If the seed orbit is not regular the result is the image of the Weyl
     group in the symmetric group of the orbit, which may be a proper
     quotient; callers that need faithfulness must check the order.
     """
     orbit = weight_orbit(cartan, seed, max_size=max_order)
-    index = {v: k for k, v in enumerate(orbit)}
+    vertex = {v: k for k, v in enumerate(orbit)}
     gen_perms = [
-        tuple(index[reflect(cartan, i, v)] for v in orbit) for i in range(cartan.rank)
+        tuple(vertex[reflect(cartan, i, v)] for v in orbit) for i in range(cartan.rank)
     ]
-
-    # Items are (perm, word) pairs told apart by the perm; the word that
-    # first reaches a perm is its lex-least reduced word.
-    def times(i: int, g: tuple[int, ...]) -> Callable[[tuple], tuple]:
-        return lambda item: (tuple(item[0][x] for x in g), item[1] + (i,))
-
-    start = (tuple(range(len(orbit))), ())
-    moves = [times(i, g) for i, g in enumerate(gen_perms)]
-    found = bfs_orbit(start, moves, key=itemgetter(0), max_size=max_order, what="Weyl group")
-    elements = tuple(WeylElement(perm, len(word), word) for perm, word in found)
-    by_perm = {w.perm: w for w in elements}
-    generators = tuple(by_perm[g] for g in gen_perms)
-    return WeylGroup(cartan, orbit, elements, generators)
+    identity = tuple(range(len(orbit)))
+    perms, words, parents = [identity], [()], [0]
+    index = {identity: 0}
+    right: list[list[int]] = [[] for _ in gen_perms]
+    # w_k s_i as one C call: itemgetter(*g)(perm) is (perm[g[0]], perm[g[1]],
+    # ...); a one-point orbit's only permutation is fixed by every move.
+    moves = [itemgetter(*g) if len(g) > 1 else tuple for g in gen_perms]
+    for k, perm in enumerate(perms):  # grows while we iterate
+        for i, move in enumerate(moves):
+            p = move(perm)
+            j = index.get(p)
+            if j is None:
+                j = len(perms)
+                if j >= max_order:
+                    raise SizeCapExceeded(f"Weyl group exceeds the cap {max_order}")
+                index[p] = j
+                perms.append(p)
+                words.append(words[k] + (i,))
+                parents.append(k)
+            right[i].append(j)
+    elements = tuple(WeylElement(p, len(w), w) for p, w in zip(perms, words))
+    return WeylGroup(
+        cartan, orbit, elements, index, tuple(map(tuple, right)), tuple(parents)
+    )
 
 
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup of a Weyl group generated by a subset of the simple
-    reflections, with members sorted by (length, word)."""
+    reflections: its members sorted by (length, word), and their positions
+    in the parent's ``elements``, ascending."""
 
     parent: WeylGroup
     generator_indices: frozenset[int]
     members: tuple[WeylElement, ...]
+    positions: tuple[int, ...]
 
     @property
     def order(self) -> int:
         return len(self.members)
 
     def __contains__(self, w: WeylElement) -> bool:
-        """Read off the stored reduced word, as ``parabolic`` does."""
+        """Read off the stored reduced word: every reduced word of a member
+        uses only the generators' letters."""
         return w in self.parent and self.generator_indices.issuperset(w.word)
 
 
 def parabolic(group: WeylGroup, indices: Iterable[int]) -> Subgroup:
     """Standard parabolic subgroup generated by the given simple reflections:
-    the elements whose stored reduced word uses only letters of J (then every
-    reduced word does).  Needs a faithful realization, as ``build_lattice``
-    checks, so that the stored words are reduced in W itself."""
+    the BFS closure of the identity under right multiplication by them, read
+    from ``group.right``.  Moves tried in increasing index give (length,
+    lex-least word) order, as in ``generate_weyl``: a reduced word of a
+    member of W_J uses only letters of J, so its least reduced word over J
+    is its least over all generators.  Needs a faithful realization, as the
+    lattice checks, so that lengths are those of W itself."""
     J = frozenset(indices)
-    return Subgroup(group, J, tuple(w for w in group.elements if J.issuperset(w.word)))
+    positions = bfs_orbit(0, [group.right[j].__getitem__ for j in sorted(J)])
+    return Subgroup(group, J, tuple(map(group.elements.__getitem__, positions)), positions)
 
 
 def group_conjugacy_classes(sub: Subgroup) -> tuple[tuple[WeylElement, ...], ...]:
     """Conjugation orbits of the subgroup acting on itself, each closed by
-    ``bfs_orbit`` under conjugation by the subgroup's simple generators.
+    ``bfs_orbit`` on element positions under conjugation by the subgroup's
+    simple generators: s_j w_k s_j is at ``left[j][right[j][k]]``.
 
     Each class is sorted by (length, word) and classes are ordered by their
     least member, so ``cls[0]`` is the canonical representative.  The
@@ -319,13 +374,19 @@ def group_conjugacy_classes(sub: Subgroup) -> tuple[tuple[WeylElement, ...], ...
     check each other.
     """
     group = sub.parent
-    moves = [partial(group.conjugate, group.generators[j]) for j in sorted(sub.generator_indices)]
-    seen: set[WeylElement] = set()
+    left, right, elements = group.left, group.right, group.elements
+
+    def conjugation(j: int) -> Callable[[int], int]:
+        s_times, times_s = left[j], right[j]
+        return lambda k: s_times[times_s[k]]
+
+    moves = [conjugation(j) for j in sorted(sub.generator_indices)]
+    seen: set[int] = set()
     classes = []
-    for x in sub.members:
-        if x in seen:
+    for k in sub.positions:  # ascending, so each class starts at its least
+        if k in seen:
             continue
-        orbit = bfs_orbit(x, moves)
+        orbit = bfs_orbit(k, moves)
         seen.update(orbit)
-        classes.append(tuple(sorted(orbit, key=WeylElement.canonical_key)))
+        classes.append(tuple(elements[m] for m in sorted(orbit)))
     return tuple(classes)

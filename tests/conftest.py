@@ -21,8 +21,9 @@ def grid_patterns():
                 yield letter, rank, mu
 
 
-# Lattices are fixed at construction, so one per configuration serves every
-# test that asks for it, through the CLI (patched in) or directly.
+# A lattice never changes once made (its group and subgroups are filled in
+# once, on first use), so one per configuration serves every test that asks
+# for it, through the CLI (patched in) or directly.
 cached_build_lattice = functools.cache(build_lattice)
 
 

@@ -9,8 +9,9 @@ projections onto the lambda_star parabolics and their conjugacy classes, and
 element by element, from the unit-conjugacy class of each invertible part.
 The semigroup and action classes are closed over all pairs of elements, in
 O(|R|^2), where the library closes them over the generators.  The cosets of
-a parabolic are tiled by whole-subgroup products, where the library walks
-products with simple reflections.
+a parabolic are tiled by whole-subgroup products, and group conjugacy
+classes are closed by permutation products, where the library walks index
+tables of the products with simple reflections.
 """
 
 from itertools import combinations, permutations
@@ -25,7 +26,7 @@ from renner.partialinj import (
     invertible_part,
     stable_domain,
 )
-from renner.rootsys import Subgroup, WeylElement, group_conjugacy_classes
+from renner.rootsys import Subgroup, WeylElement, bfs_orbit, group_conjugacy_classes
 
 
 def all_partial_injections(n):
@@ -233,3 +234,27 @@ def left_cosets(sub: Subgroup) -> tuple[tuple[WeylElement, ...], dict[WeylElemen
         coset_of.update((group.mul(w, h), len(reps)) for h in sub.members)
         reps.append(w)
     return tuple(reps), coset_of
+
+
+def conjugate(group, w, x):
+    """w x w^{-1}, by permutation products."""
+    return group.mul(group.mul(w, x), group.inv(w))
+
+
+def conjugacy_classes_by_perms(sub: Subgroup) -> tuple[tuple[WeylElement, ...], ...]:
+    """Conjugation orbits of a subgroup on itself, each closed under
+    conjugation by its simple generators through permutation products,
+    where the library reads index tables; sorted and ordered as
+    ``group_conjugacy_classes`` lists them."""
+    group = sub.parent
+    gens = [group.generators[j] for j in sorted(sub.generator_indices)]
+    moves = [lambda x, g=g: conjugate(group, g, x) for g in gens]
+    seen = set()
+    classes = []
+    for x in sub.members:
+        if x in seen:
+            continue
+        orbit = bfs_orbit(x, moves)
+        seen.update(orbit)
+        classes.append(tuple(sorted(orbit, key=WeylElement.canonical_key)))
+    return tuple(classes)

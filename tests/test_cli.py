@@ -326,8 +326,8 @@ def test_sim_and_munn_classes_never_build_the_monoid(capsys, monkeypatch):
     for kind in ("semigroup", "action"):
         with pytest.raises(AssertionError, match="the monoid build ran"):
             run(capsys, "classes", *config, "--kind", kind)
-    # Over the cap, both refuse before the weight orbit is generated (1152
-    # points for canonical F4; the lattice needs only the 24 of omega_1).
+    # Over the cap, both refuse from the closed-form |R| before any orbit,
+    # of the weight (1152 points for canonical F4) or of omega_1, is made.
     sizes = []
     original = rootsys.weight_orbit
 
@@ -342,7 +342,7 @@ def test_sim_and_munn_classes_never_build_the_monoid(capsys, monkeypatch):
             capsys, "classes", "--type", "F4", "--weight", "1,1,1,1", "--kind", kind
         )
         assert code == 3 and out == "" and "exceeds the cap 250000" in err, kind
-    assert sizes and max(sizes) <= 24
+    assert sizes == []
 
 
 @pytest.mark.parametrize("command,fmt", sorted(COUNTS_AND_REPS_OUTPUT))
@@ -401,9 +401,9 @@ def test_lattice_csv_and_json(capsys):
 
 
 def test_lattice_commands_never_generate_the_weight_orbit(capsys, monkeypatch):
-    # lattice, counts and reps need only W and J0, so on canonical F4 no orbit
-    # is larger than the 24 points of the first fundamental weight (the
-    # weight orbit has 1152).
+    # lattice needs only J0, and counts and reps W and J0, so on canonical F4
+    # no orbit is larger than the 24 points of the first fundamental weight
+    # (the weight orbit has 1152).
     sizes = []
     original = rootsys.weight_orbit
 

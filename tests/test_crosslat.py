@@ -1,21 +1,28 @@
+import itertools
+import sys
+import threading
+
 import pytest
 
+from conftest import GRID_TYPES, cached_build_lattice, grid_patterns
+from oracles import conjugate
 from renner import (
     DominantWeightSpec,
+    build_lattice,
     cartan_matrix,
     connected_components,
     cross_section_lattice,
     generate_weyl,
     is_admissible,
     lambda_sub_star,
+    parabolic,
 )
+from renner.crosslat import parabolic_order
 
 
 def _lattice(letter, rank, weight):
-    cartan = cartan_matrix(letter, rank)
-    spec = DominantWeightSpec(tuple(weight))
-    group = generate_weyl(cartan, spec.mu)
-    return group, cross_section_lattice(group, spec)
+    lattice = cross_section_lattice(cartan_matrix(letter, rank), DominantWeightSpec(weight))
+    return lattice.group, lattice
 
 
 def test_weight_spec_validation():
@@ -118,7 +125,7 @@ def test_centralizer_is_internal_product_of_star_and_stabilizer():
             # The stabilizer is normal in the centralizer.
             for w in cent.members:
                 for v in stab.members:
-                    assert group.conjugate(w, v) in stab
+                    assert conjugate(group, w, v) in stab
 
 
 def test_lattice_order():
@@ -128,3 +135,53 @@ def test_lattice_order():
     assert not lattice.leq(e1, e2) and not lattice.leq(e1, e0)
     assert all(lattice.leq(lattice.nonzero[0], f) for f in lattice.nonzero)
 
+
+def test_closed_form_orders_match_enumeration():
+    # Every grid type and every subset J of its simple roots.
+    for letter, rank in GRID_TYPES:
+        cartan = cartan_matrix(letter, rank)
+        group = generate_weyl(cartan, (1,) + (0,) * (rank - 1))
+        for size in range(rank + 1):
+            for J in itertools.combinations(range(rank), size):
+                assert parabolic_order(J, cartan) == parabolic(group, J).order, (letter, J)
+    # The lattice's closed-form accessors are the orders of its subgroups.
+    for letter, rank, mu in grid_patterns():
+        lattice = cached_build_lattice(cartan_matrix(letter, rank), mu)
+        assert lattice.weyl_order == lattice.group.order
+        for e in lattice:
+            assert lattice.centralizer_order(e) == lattice.centralizer(e).order
+            assert lattice.stabilizer_order(e) == lattice.stabilizer(e).order
+
+
+def test_lazy_group_is_made_once_across_threads(monkeypatch):
+    calls = []
+    original = generate_weyl
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr("renner.crosslat.generate_weyl", counting)
+    lattice = build_lattice(cartan_matrix("F", 4), (1, 1, 1, 1))
+    assert calls == []
+    barrier = threading.Barrier(8)
+    seen = []
+
+    def read():
+        barrier.wait(timeout=10)
+        seen.append((lattice.group, lattice.star_group(lattice.one)))
+
+    threads = [threading.Thread(target=read) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 8 and len(calls) == 1
+    assert len({id(group) for group, _ in seen}) == 1
+    assert len({id(star) for _, star in seen}) == 1

@@ -16,8 +16,14 @@ its queries, so any change to an answer, a format or a refusal changes it.
   order, generators and strata of the 27 monoids that answer.
 * ``build --format json`` on six larger monoids (|R| 1.8k-21k, degree
   6-48), past that cap.
+* ``lattice`` alone in all three formats with Weyl-group generation
+  disabled, and with it every refusal at ``--max-monoid-order 5000`` of
+  ``counts``, ``reps``, ``build`` and ``classes`` of each kind (106
+  configurations): both answer from closed-form orders, checked here
+  against enumerated subgroups.
 
-Lattices and monoids are fixed at construction, so each configuration's
+Lattices and monoids never change once made (a lattice's group and
+subgroups are filled in once, on first use), so each configuration's
 lattice and monoid are built once and shared by its queries.
 """
 
@@ -27,7 +33,7 @@ import hashlib
 import io
 
 from conftest import cached_build_lattice, grid_patterns
-from renner import cli, rootsys
+from renner import cli, crosslat, monoid, rootsys
 
 FORMATS = ("table", "json", "csv")
 
@@ -42,11 +48,22 @@ EXPORT_CONFIGS = (
     ("B4", "0,0,0,1"), ("A5", "0,0,0,0,1"), ("A4", "0,1,0,1"),
 )
 PAIRWISE_MAX_ORDER = 300
+# The grid's 441 lattice queries alone, as printed from enumerated subgroups.
+LATTICE_DIGEST = "675db0eddebe5d56d3d769f604b142fd6f6f9e382adf93a786d68b29f30e0b9c"
+REFUSAL_CAP = 5000
 
 
 def grid_configs():
     for letter, rank, mu in grid_patterns():
         yield ["--type", f"{letter}{rank}", "--weight", ",".join(map(str, mu))]
+
+
+def answer(argv):
+    """Exit code, stdout and stderr of one query."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def digest_of(argvs):
@@ -55,10 +72,8 @@ def digest_of(argvs):
     digest = hashlib.sha256()
     calls = 0
     for argv in argvs:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        digest.update(f"{' '.join(argv)}\n{code}\n{out.getvalue()}\n".encode())
+        code, out, _ = answer(argv)
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}\n".encode())
         calls += 1
     return digest.hexdigest(), calls
 
@@ -97,6 +112,39 @@ def pairwise_argvs():
 def test_lattice_counts_reps_grid_digest(monkeypatch):
     monkeypatch.setattr(cli, "build_lattice", cached_build_lattice)
     assert digest_of(grid_argvs()) == (GRID_DIGEST, 147 * 9)
+
+
+def _no_group(*args, **kwargs):
+    raise AssertionError("a Weyl group was generated")
+
+
+def test_lattice_and_cap_refusals_generate_no_weyl_group(monkeypatch):
+    # Each configuration's |R| from the orders of enumerated parabolics,
+    # before group generation is disabled in every module that binds it.
+    orders = {}
+    for config, (letter, rank, mu) in zip(grid_configs(), grid_patterns()):
+        lattice = cli.build_lattice(rootsys.cartan_matrix(letter, rank), mu)
+        group = lattice.group
+        w = group.order
+        orders[tuple(config)] = sum(
+            w * w // (rootsys.parabolic(group, e.lambda_set).order
+                      * rootsys.parabolic(group, e.lambda_sub).order)
+            for e in lattice.nonzero
+        ) + 1
+    for module in (rootsys, crosslat, monoid):
+        monkeypatch.setattr(module, "generate_weyl", _no_group)
+    lattice_argvs = (["lattice", *c, "--format", f] for c in grid_configs() for f in FORMATS)
+    assert digest_of(lattice_argvs) == (LATTICE_DIGEST, 147 * 3)
+    commands = [["counts"], ["reps"], ["build"]] + [
+        ["classes", "--kind", kind] for kind in ("sim", "munn", "semigroup", "action")
+    ]
+    refused = [config for config, order in orders.items() if order > REFUSAL_CAP]
+    for config in refused:
+        want = (3, "", f"error: Renner monoid of order {orders[config]} exceeds the cap 5000\n")
+        for command in commands:
+            argv = [*command, *config, "--max-monoid-order", str(REFUSAL_CAP)]
+            assert answer(argv) == want, argv
+    assert len(refused) == 106
 
 
 def test_sim_and_munn_classes_grid_digest(monkeypatch):

@@ -3,7 +3,14 @@ import itertools
 
 import pytest
 
-from oracles import left_cosets, s3_conjugacy_class_count, signed_orbit_b2, subgroup_closure
+from conftest import GRID_TYPES, cached_build_lattice
+from oracles import (
+    conjugacy_classes_by_perms,
+    left_cosets,
+    s3_conjugacy_class_count,
+    signed_orbit_b2,
+    subgroup_closure,
+)
 from renner import (
     InvalidType,
     SizeCapExceeded,
@@ -82,6 +89,9 @@ def test_generate_weyl_orders_regular_seed():
     assert a2.order == 6 and a2.degree == 6
     g2 = generate_weyl(cartan_matrix("G", 2), (1, 1))
     assert g2.order == 12 and g2.degree == 12
+    # A fixed seed's one-point orbit carries only the trivial image.
+    trivial = generate_weyl(cartan_matrix("B", 2), (0, 0))
+    assert trivial.order == trivial.degree == 1 and trivial.right == ((0,), (0,))
 
 
 def test_generate_weyl_b2_fundamental_orbit():
@@ -146,6 +156,17 @@ def test_group_operations():
         for b in group.elements:
             ab = group.mul(a, b)
             assert ab in group
+
+
+def test_index_tables_are_the_products_with_generators():
+    for letter, rank, seed in (("G", 2, (1, 1)), ("B", 3, (1, 0, 0)), ("F", 4, (1, 0, 0, 0))):
+        group = generate_weyl(cartan_matrix(letter, rank), seed)
+        elements = group.elements
+        for i, s in enumerate(group.generators):
+            for k, w in enumerate(elements):
+                assert elements[group.right[i][k]] == group.mul(w, s)
+                assert elements[group.left[i][k]] == group.mul(s, w)
+        assert group.left is group.left  # made once
 
 
 def test_parabolic_orders():
@@ -263,6 +284,19 @@ def test_conjugacy_class_sizes_sum():
         assert sum(len(c) for c in classes) == sub.order
         for cls in classes:
             assert cls[0] == min(cls, key=WeylElement.canonical_key)
+
+
+def test_class_closure_on_index_tables_matches_permutation_products():
+    # Every lambda_star parabolic of the grid: the canonical lattice of each
+    # type has every subset of the simple roots as a lambda_star.
+    for letter, rank in GRID_TYPES:
+        lattice = cached_build_lattice(cartan_matrix(letter, rank), (1,) * rank)
+        assert len(lattice) == 2**rank + 1
+        for e in lattice:
+            star = lattice.star_group(e)
+            assert group_conjugacy_classes(star) == conjugacy_classes_by_perms(star), (
+                letter, e.label
+            )
 
 
 def test_group_cap_from_the_closed_form_order():
