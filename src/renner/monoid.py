@@ -3,7 +3,8 @@ weight orbit.
 
 By the Renner decomposition R is the disjoint union of the strata W e W
 over the cross-section lattice, and u*e*v is the unit uv restricted to the
-face v^{-1}(F_e); the monoid is built by enumerating these restrictions.
+face v^{-1}(F_e); the monoid is built by enumerating these restrictions,
+and its export is written from the same enumeration without building it.
 Every nonzero element factors as (partial identity on its range) * unit *
 (partial identity on its domain); the shortest, lex-least unit restricting
 to it makes that normal form canonical.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .crosslat import CrossIdempotent, CrossSectionLattice, build_lattice
 from .errors import ConstructionError, NotInOrbit, SizeCapExceeded, ZeroElement
@@ -179,6 +180,94 @@ def realize_on_weight(
     return on_weight, faces
 
 
+@dataclass(frozen=True)
+class FaceLayout:
+    """The faces and unit tables the build and the export read off the
+    weight orbit, checked before any element is made.
+
+    ``face_orbits`` maps each idempotent's index to the orbit of its face
+    under W, in BFS order from the face itself (lattice order over the
+    idempotents, the zero first); ``unit_tables`` holds each unit's
+    256-byte translation table, in (length, word) order; ``stratum_sizes``
+    maps each idempotent's index to its stratum's size.
+    """
+
+    vertices: tuple[Weight, ...]
+    face_orbits: dict[int, tuple[frozenset[int], ...]]
+    unit_tables: tuple[bytes, ...]
+    stratum_sizes: dict[int, int]
+
+    @property
+    def degree(self) -> int:
+        return len(self.vertices)
+
+
+def face_layout(lattice: CrossSectionLattice) -> FaceLayout:
+    """Realize the lattice on the weight orbit (``realize_on_weight``), take
+    each idempotent's face orbit, and check the layout of R against the
+    closed form before any element is made.
+
+    The face orbits of distinct idempotents must be disjoint.  Each stratum
+    W e W is the set of units restricted to the faces of the orbit of F_e,
+    so its size is len(orbit) times the number of distinct restrictions of
+    W to one face of it.  That number is the same on every face: a face of
+    the orbit is t(F_e) for a unit t, so its pointwise fixer is t Fix(F_e)
+    t^-1, of the same order, and W restricts to |W| / |Fix| maps on it.  So
+    len(orbit) times the restrictions to F_e alone must equal
+    ``lattice.stratum_size(e)``, and then the per-face scan of
+    ``build_renner`` and ``iter_export`` makes exactly that many elements.
+    The top stratum's closed-form size is |W|, so this also pins the units.
+    """
+    on_weight, faces = realize_on_weight(lattice)
+    degree = on_weight.degree
+    unit_tables = tuple(PartialInjection.from_targets(u.perm).table for u in on_weight.elements)
+    face_moves = [partial(_move_face, g.perm) for g in on_weight.generators]
+    seen_faces: set[frozenset[int]] = set()
+    face_orbits: dict[int, tuple[frozenset[int], ...]] = {}
+    stratum_sizes: dict[int, int] = {}
+    for e in lattice.idempotents:
+        orbit = bfs_orbit(faces[e], face_moves)
+        if not seen_faces.isdisjoint(orbit):
+            raise ConstructionError("face orbits of distinct idempotents overlap")
+        seen_faces.update(orbit)
+        size = len(orbit) * len(_restrictions(_face_code(faces[e], degree), unit_tables))
+        if size != lattice.stratum_size(e):
+            raise ConstructionError(f"stratum {e.label} differs from its closed-form size")
+        face_orbits[e.index] = orbit
+        stratum_sizes[e.index] = size
+    return FaceLayout(on_weight.vertex_orbit, face_orbits, unit_tables, stratum_sizes)
+
+
+def _face_code(face: frozenset[int], degree: int) -> bytes:
+    """The byte code of the partial identity on ``face``."""
+    code = bytearray([degree]) * (degree + 1)
+    for i in face:
+        code[i] = i
+    return bytes(code)
+
+
+def _restrictions(face_code: bytes, unit_tables: Sequence[bytes]) -> dict[bytes, int]:
+    """The distinct restrictions of the units to a face, given by its
+    partial-identity code: each map's byte code, in (length, word) order of
+    the first unit making it, with that unit's position.  A permutation
+    after a partial identity is injective, so every code is valid."""
+    made: dict[bytes, int] = {}
+    for k, table in enumerate(unit_tables):
+        made.setdefault(face_code.translate(table), k)
+    return made
+
+
+def _scan(
+    lattice: CrossSectionLattice, layout: FaceLayout
+) -> Iterator[tuple[CrossIdempotent, frozenset[int], dict[bytes, int]]]:
+    """Each face with its restrictions, in the order of R's elements:
+    idempotents in lattice order, each face orbit in BFS order, and on each
+    face the restrictions in (length, word) order of their first unit."""
+    for e in lattice.idempotents:
+        for face in layout.face_orbits[e.index]:
+            yield e, face, _restrictions(_face_code(face, layout.degree), layout.unit_tables)
+
+
 def build_renner(
     cartan: CartanMatrix,
     mu: Sequence[int],
@@ -189,63 +278,46 @@ def build_renner(
     """Build the Renner monoid of the J-irreducible monoid with highest
     weight ``mu`` over the given Cartan type.
 
-    The Weyl group and the faces are realized on the orbit of ``mu`` by
-    ``realize_on_weight``.
-
-    Each stratum W e W is enumerated as the units restricted to the faces of
-    the orbit of e's face (the empty face giving the zero map), faces in
-    orbit order and units in (length, word) order.  The first unit to give a
-    map is its canonical unit; on e's own face, the first unit carrying it
-    onto a face is that face's transporter.  The cap is checked against the
-    closed-form order before the weight orbit is generated, and every
-    stratum must have its closed-form size.
+    The Weyl group, the faces and their orbits come from ``face_layout``,
+    which checks them against the closed-form stratum sizes.  Each stratum
+    W e W is enumerated as the units restricted to the faces of the orbit
+    of e's face (the empty face giving the zero map), in the order of
+    ``_scan``.  The first unit to give a map is its canonical unit; on e's
+    own face, the first unit carrying it onto a face is that face's
+    transporter.  The cap is checked against the closed-form order before
+    the weight orbit is generated, and every stratum must have its
+    closed-form size.
     """
     lattice = build_lattice(cartan, mu, max_group_order=max_group_order)
     check_monoid_cap(lattice, max_monoid_order)
-    group = lattice.group
-    on_weight, faces = realize_on_weight(lattice)
-    degree = on_weight.degree
+    layout = face_layout(lattice)
+    units = lattice.group.elements
 
     elements: list[PartialInjection] = []
     canonical_units: list[WeylElement] = []
-    seen_faces: set[frozenset[int]] = set()
-    face_orbits: dict[int, tuple[frozenset[int], ...]] = {}
     strata: dict[int, tuple[int, ...]] = {}
     transporters: dict[frozenset[int], FaceTransporter] = {}
-    face_moves = [partial(_move_face, g.perm) for g in on_weight.generators]
-    unit_tables = [PartialInjection.from_targets(u.perm).table for u in on_weight.elements]
-    for e in lattice.idempotents:  # lattice order, the zero first
-        base = faces[e]
-        orbit = bfs_orbit(base, face_moves)
-        start = len(elements)
-        for face in orbit:
-            if face in seen_faces:
-                raise ConstructionError("face orbits of distinct idempotents overlap")
-            seen_faces.add(face)
-            face_code = PartialInjection.partial_identity(degree, face).code
-            made: set[bytes] = set()
-            for w, table in zip(group.elements, unit_tables):  # (length, word) order
-                # The unit after the face's identity: both codes were checked,
-                # and a permutation after a partial identity is injective.
-                code = face_code.translate(table)
-                if code in made:
-                    continue
-                made.add(code)
-                sigma = PartialInjection._trusted(code)
-                elements.append(sigma)
-                canonical_units.append(w)
-                # The first unit with a given image of e's face makes a new map.
-                if face == base and (image := sigma.image) not in transporters:
-                    transporters[image] = FaceTransporter(image, face, w, sigma)
-        face_orbits[e.index] = orbit
-        strata[e.index] = tuple(range(start, len(elements)))
-        # The top stratum's closed-form size is |W|, so this also pins the units.
+    stops: dict[int, int] = {}
+    for e, face, made in _scan(lattice, layout):
+        base = face == layout.face_orbits[e.index][0]
+        for code, k in made.items():
+            sigma = PartialInjection._trusted(code)
+            elements.append(sigma)
+            canonical_units.append(units[k])
+            # The first unit with a given image of e's face makes a new map.
+            if base and (image := sigma.image) not in transporters:
+                transporters[image] = FaceTransporter(image, face, units[k], sigma)
+        stops[e.index] = len(elements)
+    start = 0
+    for e in lattice.idempotents:
+        strata[e.index] = tuple(range(start, stops[e.index]))
+        start = stops[e.index]
         if len(strata[e.index]) != lattice.stratum_size(e):
             raise ConstructionError(f"stratum {e.label} differs from its closed-form size")
 
     return RennerMonoid(
-        lattice, on_weight.vertex_orbit, tuple(elements), tuple(canonical_units),
-        face_orbits, strata, transporters,
+        lattice, layout.vertices, tuple(elements), tuple(canonical_units),
+        layout.face_orbits, strata, transporters,
     )
 
 
@@ -348,44 +420,71 @@ def word_times_face(word: Sequence[int], face: Optional[str]) -> str:
     return face if name == "1" else f"{name}*{face}"
 
 
-def monoid_to_json(monoid: RennerMonoid) -> str:
-    """The export text: ``vertices``, ``generators``, ``elements`` (each a
-    list of [source, target] pairs sorted by source) and ``strata`` (label
-    to element indices), exactly as ``json.dumps(doc, indent=2,
-    sort_keys=True)`` writes that document.
+def iter_export(lattice: CrossSectionLattice) -> Iterator[str]:
+    """The export text of R, in pieces: ``vertices``, ``generators``,
+    ``elements`` (each a list of [source, target] pairs sorted by source)
+    and ``strata`` (label to element indices), exactly as
+    ``json.dumps(doc, indent=2, sort_keys=True)`` writes that document.
 
-    Each element is written from its byte code and one table of per-pair
-    fragments; the elements sharing a domain share the list of its rows.
+    ``face_layout`` runs before the first piece, so a failed check writes
+    nothing.  The elements follow, one piece per face, in the order of
+    ``_scan``; no element object is made and no piece is kept.  On a fixed
+    face each element is written from the rows of the face's sources,
+    indexed by the code's targets.  The generators (the simple reflections'
+    units, then each idempotent on its own face), the strata (ranges of
+    the checked sizes) and the vertices close the text.
     """
-    n = monoid.degree
+    layout = face_layout(lattice)
+    n = layout.degree
     # rows[i][t]: the pair [i, t] as written at element depth.
     rows = [[f"[\n        {i},\n        {t}\n      ]" for t in range(n)] for i in range(n)]
-    defined = bytes(t < n for t in range(256))
     undefined = bytes([n])
-    domain_rows: dict[bytes, list[list[str]]] = {}
 
-    def pairs(sigma: PartialInjection) -> str:
-        code = sigma.code
-        mask = code.translate(defined)
-        picked = domain_rows.get(mask)
-        if picked is None:
-            picked = domain_rows[mask] = [row for row, d in zip(rows, mask) if d]
-        # Deleting the undefined bytes leaves the targets in source order.
-        return _json_block(map(list.__getitem__, picked, code.translate(None, undefined)), 4)
+    def written(face: frozenset[int], codes: Iterable[bytes]) -> str:
+        if not face:
+            return ",\n    ".join("[]" for _ in codes)
+        picked = [rows[i] for i in sorted(face)]
+        # ``_json_block(..., 4)`` written out: a call per element costs a
+        # quarter of the text's time.  Deleting the undefined bytes leaves
+        # the targets in source order.
+        return ",\n    ".join([
+            "[\n      " + ",\n      ".join(map(list.__getitem__, picked, code.translate(None, undefined)))
+            + "\n    ]"
+            for code in codes
+        ])
 
-    strata = {e.label: monoid.strata[e.index] for e in monoid.lattice.idempotents}
-    # The keys in sorted order; each block is joined once, from an iterator,
-    # so at most one list of element texts is alive.
-    return "".join([
-        '{\n  "elements": ', _json_block(map(pairs, monoid.elements), 2),
-        ',\n  "generators": ', _json_block(map(pairs, monoid.generators), 2),
+    separator = '{\n  "elements": [\n    '
+    for _, face, made in _scan(lattice, layout):
+        yield separator + written(face, made)
+        separator = ",\n    "
+
+    everything = frozenset(range(n))
+    # The units of the simple reflections (units 1..rank in (length, word)
+    # order), then each idempotent; drops repeats, keeps first-seen order.
+    generators = dict.fromkeys(
+        [(everything, table[: n + 1]) for table in layout.unit_tables[1 : lattice.cartan.rank + 1]]
+        + [(orbit[0], _face_code(orbit[0], n)) for orbit in layout.face_orbits.values()]
+    )
+    strata, start = {}, 0
+    for e in lattice.idempotents:
+        size = layout.stratum_sizes[e.index]
+        strata[e.label] = range(start, start + size)
+        start += size
+    yield "".join([
+        '\n  ],\n  "generators": ', _json_block((written(f, [c]) for f, c in generators), 2),
         ',\n  "strata": ', _json_block(
             (f"{json.dumps(k)}: {_json_block(map(str, strata[k]), 4)}" for k in sorted(strata)),
             2, "{}",
         ),
-        ',\n  "vertices": ', _json_block((_json_block(map(str, v), 4) for v in monoid.vertices), 2),
+        ',\n  "vertices": ', _json_block((_json_block(map(str, v), 4) for v in layout.vertices), 2),
         "\n}",
     ])
+
+
+def monoid_to_json(monoid: RennerMonoid) -> str:
+    """The export text of ``monoid``: the pieces of ``iter_export`` over its
+    lattice, joined."""
+    return "".join(iter_export(monoid.lattice))
 
 
 def _json_block(items: Iterable[str], indent: int, brackets: str = "[]") -> str:

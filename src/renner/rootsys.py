@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
@@ -93,6 +93,19 @@ class CartanMatrix:
     def adjacent(self, i: int, j: int) -> bool:
         """Dynkin-diagram adjacency of the simple roots i and j."""
         return i != j and self.rows[i][j] != 0
+
+    @cached_property
+    def neighbours(self) -> tuple[int, ...]:
+        """Bit j of entry i is set when the simple roots i and j are
+        adjacent; made once per matrix.
+
+        >>> cartan_matrix("A", 3).neighbours
+        (2, 5, 2)
+        """
+        rank = self.rank
+        return tuple(
+            sum(1 << j for j in range(rank) if self.adjacent(i, j)) for i in range(rank)
+        )
 
 
 def cartan_matrix(letter: str, rank: int) -> CartanMatrix:

@@ -11,9 +11,12 @@ The semigroup and action classes are closed over all pairs of elements, in
 O(|R|^2), where the library closes them over the generators.  The cosets of
 a parabolic are tiled by whole-subgroup products, and group conjugacy
 classes are closed by permutation products, where the library walks index
-tables of the products with simple reflections.
+tables of the products with simple reflections.  The build export is
+written element by element from a built monoid, where the library streams
+it from the faces and the unit tables.
 """
 
+import json
 from itertools import combinations, permutations
 
 from conftest import identity_map
@@ -258,3 +261,42 @@ def conjugacy_classes_by_perms(sub: Subgroup) -> tuple[tuple[WeylElement, ...], 
         seen.update(orbit)
         classes.append(tuple(sorted(orbit, key=WeylElement.canonical_key)))
     return tuple(classes)
+
+
+def export_from_elements(monoid):
+    """The build export of a built monoid, written per element from its byte
+    code and one table of per-pair fragments (the elements sharing a domain
+    share the list of its rows), as ``json.dumps(doc, indent=2,
+    sort_keys=True)`` writes the document."""
+    n = monoid.degree
+    # rows[i][t]: the pair [i, t] as written at element depth.
+    rows = [[f"[\n        {i},\n        {t}\n      ]" for t in range(n)] for i in range(n)]
+    defined = bytes(t < n for t in range(256))
+    undefined = bytes([n])
+    domain_rows = {}
+
+    def block(items, indent, brackets="[]"):
+        inner = "\n" + " " * (indent + 2)
+        body = ("," + inner).join(items)
+        return f"{brackets[0]}{inner}{body}\n{' ' * indent}{brackets[1]}" if body else brackets
+
+    def pairs(sigma):
+        code = sigma.code
+        mask = code.translate(defined)
+        picked = domain_rows.get(mask)
+        if picked is None:
+            picked = domain_rows[mask] = [row for row, d in zip(rows, mask) if d]
+        # Deleting the undefined bytes leaves the targets in source order.
+        return block(map(list.__getitem__, picked, code.translate(None, undefined)), 4)
+
+    strata = {e.label: monoid.strata[e.index] for e in monoid.lattice.idempotents}
+    return "".join([
+        '{\n  "elements": ', block(map(pairs, monoid.elements), 2),
+        ',\n  "generators": ', block(map(pairs, monoid.generators), 2),
+        ',\n  "strata": ', block(
+            (f"{json.dumps(k)}: {block(map(str, strata[k]), 4)}" for k in sorted(strata)),
+            2, "{}",
+        ),
+        ',\n  "vertices": ', block((block(map(str, v), 4) for v in monoid.vertices), 2),
+        "\n}",
+    ])

@@ -1,11 +1,10 @@
-import functools
 import json
 import time
 from pathlib import Path
 
 import pytest
 
-from renner import PartialInjection, cli, rootsys
+from renner import CrossSectionLattice, PartialInjection, cli, rootsys
 from renner.cli import main
 from renner.conj import MAX_ROOK_POINTS
 
@@ -80,10 +79,9 @@ def test_counts_csv_layout(capsys):
     assert [line.split(",")[4] for line in lines[1:]] == ["1", "2", "4", "3"]
 
 
-def test_j0_equivalent_to_weight(capsys, monkeypatch):
+def test_j0_equivalent_to_weight(capsys):
     # Weights with one zero pattern give one answer, bar the weight that
     # lattice JSON prints and the weight orbit that build JSON lists.
-    monkeypatch.setattr(cli, "build_renner", functools.cache(cli.build_renner))
     spellings = (["--weight", "2,0,3"], ["--weight", "1,0,1"], ["--j0", "2"])
     echoed = {"lattice": "weight", "build": "vertices"}
     commands = (["lattice"], ["counts"], ["reps"], ["classes", "--kind", "sim"],
@@ -205,7 +203,8 @@ def test_cap_exceeded_exit_3(capsys, monkeypatch):
     )
     assert code == 0
     monkeypatch.setattr("renner.monoid.PartialInjection", _no_element)
-    for command in (["build"], ["counts"], ["reps"], ["classes", "--kind", "munn"]):
+    for command in (["build"], ["build", "--format", "json"], ["counts"], ["reps"],
+                    ["classes", "--kind", "munn"]):
         code, out, err = run(
             capsys, *command, "--type", "G2", "--weight", "1,1",
             "--max-monoid-order", "300",
@@ -213,11 +212,12 @@ def test_cap_exceeded_exit_3(capsys, monkeypatch):
         assert code == 3 and out == "" and "error:" in err, command
     # Canonical B4's 384-point weight orbit fits no byte code, so it is
     # refused once the orbit is generated, still before any element.
-    code, out, err = run(
-        capsys, "build", "--type", "B4", "--weight", "1,1,1,1",
-        "--max-monoid-order", "1000000",
-    )
-    assert code == 3 and out == "" and "degree 384" in err
+    for fmt in ("table", "json"):
+        code, out, err = run(
+            capsys, "build", "--type", "B4", "--weight", "1,1,1,1",
+            "--max-monoid-order", "1000000", "--format", fmt,
+        )
+        assert code == 3 and out == "" and "degree 384" in err, fmt
 
 
 def _no_matrix(*args):
@@ -351,6 +351,46 @@ def test_counts_and_reps_never_build_the_monoid(capsys, monkeypatch, command, fm
     code, out, _ = run(capsys, command, "--type", "G2", "--weight", "1,1", "--format", fmt)
     assert code == 0
     assert out == COUNTS_AND_REPS_OUTPUT[command, fmt]
+
+
+def test_build_never_builds_the_monoid(capsys, monkeypatch, small_grid):
+    # Every format answers from the face layout and the unit tables; the
+    # sizes table and csv print are the built monoid's strata.
+    monkeypatch.setattr("renner.cli.build_renner", _no_element)
+    built, _ = small_grid
+    for config, R in built:
+        lattice = R.lattice
+        argv = ("build", "--type", f"{lattice.cartan.letter}{lattice.cartan.rank}",
+                "--weight", ",".join(map(str, lattice.weight_spec.mu)))
+        sizes = [[e.label, str(len(R.strata[e.index]))] for e in lattice.idempotents]
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0 and [line.split(",") for line in out.splitlines()[1:]] == sizes, config
+        code, out, _ = run(capsys, *argv)
+        lines = out.splitlines()
+        assert code == 0 and lines[:3] == [
+            f"vertices: {R.degree}", f"unit group order: {R.group.order}", f"monoid order: {R.order}",
+        ], config
+        assert [line.split() for line in lines[4:]] == sizes, config
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and len(json.loads(out)["elements"]) == R.order, config
+
+
+def test_build_writes_nothing_when_a_check_fails(capsys, monkeypatch):
+    # The face layout is checked before the first piece of the export: a
+    # closed-form size off by one for a single idempotent is exit 2 with
+    # empty stdout, in every format.
+    original = CrossSectionLattice.stratum_size
+
+    def off_by_one(self, e):
+        return original(self, e) + (e.label == "e_1")
+
+    monkeypatch.setattr(CrossSectionLattice, "stratum_size", off_by_one)
+    for fmt in ("json", "table", "csv"):
+        code, out, err = run(
+            capsys, "build", "--type", "B3", "--weight", "1,1,1", "--format", fmt
+        )
+        assert code == 2 and out == "", fmt
+        assert err == "error: stratum e_1 differs from its closed-form size\n", fmt
 
 
 def test_classes_table_blocks(capsys):

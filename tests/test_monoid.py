@@ -2,13 +2,20 @@ import json
 
 import pytest
 
-from conftest import make_monoid, zero_map
-from oracles import all_partial_injections, double_coset, generator_closure, left_cosets
+from conftest import cached_build_lattice, grid_patterns, make_monoid, zero_map
+from oracles import (
+    all_partial_injections,
+    double_coset,
+    export_from_elements,
+    generator_closure,
+    left_cosets,
+)
 from renner import (
     NotInOrbit,
     PartialInjection,
     SizeCapExceeded,
     ZeroElement,
+    build_renner,
     cartan_matrix,
     compose,
     face_transporter,
@@ -22,7 +29,7 @@ from renner import (
     subrank,
     weight_orbit,
 )
-from renner.monoid import element_label
+from renner.monoid import element_label, iter_export
 
 
 def test_weight_orbit_sizes():
@@ -414,6 +421,23 @@ def test_export_text_is_what_json_dumps_writes(small_grid):
         }, config
         # The zero element comes first, with no defined point.
         assert doc["elements"][0] == [] and '"elements": [\n    [],' in text, config
+
+
+def test_streamed_export_is_the_built_monoids_export():
+    # The stream makes no element; written per element from the built
+    # monoid, the export must be the same text on every grid configuration
+    # with |R| <= 5000.
+    checked = 0
+    for letter, rank, mu in grid_patterns():
+        cartan = cartan_matrix(letter, rank)
+        if cached_build_lattice(cartan, mu).monoid_order > 5000:
+            continue
+        R = build_renner(cartan, mu, max_monoid_order=5000)
+        pieces = list(iter_export(R.lattice))
+        assert len(pieces) == sum(len(orbit) for orbit in R.face_orbits.values()) + 1
+        assert "".join(pieces) == export_from_elements(R), (letter, rank, mu)
+        checked += 1
+    assert checked == 41
 
 
 def test_built_elements_pass_full_validation(small_grid):
