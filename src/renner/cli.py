@@ -210,14 +210,15 @@ def cmd_build(args: argparse.Namespace) -> None:
     if args.format == "json":
         _emit_pieces(iter_export(lattice))
         return
+    # The checks of the layout pass, so the strata have their closed-form sizes.
     layout = face_layout(lattice)
-    rows = [[e.label, layout.stratum_sizes[e.index]] for e in lattice.idempotents]
+    rows = [[e.label, lattice.stratum_size(e)] for e in lattice.idempotents]
     if args.format == "csv":
         _emit_csv(["e", "stratum_size"], rows)
     else:
         print(f"vertices: {layout.degree}")
         print(f"unit group order: {lattice.group.order}")
-        print(f"monoid order: {sum(layout.stratum_sizes.values())}")
+        print(f"monoid order: {lattice.monoid_order}")
         _emit_table(["e", "stratum_size"], rows)
 
 

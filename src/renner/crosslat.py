@@ -176,9 +176,8 @@ class CrossSectionLattice:
     that it agrees with face inclusion, the idempotent-product order).
 
     The centralizer and stabilizer orders, and so the stratum sizes and
-    |R|, are closed-form products over Dynkin components, given at
-    construction as ``orders`` (|W_J| for every lambda_set and lambda_sub
-    J): a lattice query or a cap check makes no group.  The Weyl
+    |R|, are closed-form products over Dynkin components, fixed at
+    construction: a lattice query or a cap check makes no group.  The Weyl
     group and its parabolic subgroups are made when first asked for: the
     group once, under the lattice's lock; each subgroup published by one
     ``dict.setdefault``, so every caller gets the first one stored.  The
@@ -190,7 +189,6 @@ class CrossSectionLattice:
         cartan: CartanMatrix,
         weight_spec: DominantWeightSpec,
         idempotents: tuple[CrossIdempotent, ...],
-        orders: dict[frozenset[int], int],
     ):
         self.cartan = cartan
         self.weight_spec = weight_spec
@@ -198,7 +196,8 @@ class CrossSectionLattice:
         self.zero = idempotents[0]
         self.one = idempotents[-1]
         self.weyl_order = standard_weyl_order(cartan.letter, cartan.rank)
-        self._orders = orders
+        index_sets = {J for e in self.nonzero for J in (e.lambda_set, e.lambda_sub)}
+        self._orders = {J: parabolic_order(J, cartan) for J in index_sets}
         self._group: Optional[WeylGroup] = None
         self._lock = threading.Lock()
         self._parabolics: dict[frozenset[int], Subgroup] = {}
@@ -309,14 +308,10 @@ def cross_section_lattice(
     j0 = weight_spec.j0
     rank = cartan.rank
     idems = [CrossIdempotent(0, "0", frozenset(), frozenset(), True)]
-    # Every subset's Dynkin components, from the admissibility pass; the
-    # lambda sets are subsets too, so their orders read them here.
-    components = {}
     for size in range(rank + 1):
         for chosen in combinations(range(rank), size):
             lam_star = frozenset(chosen)
-            components[lam_star] = connected_components(chosen, cartan)
-            if any(part <= j0 for part in components[lam_star]):  # not admissible
+            if not is_admissible(lam_star, j0, cartan):
                 continue
             idems.append(
                 CrossIdempotent(
@@ -327,15 +322,7 @@ def cross_section_lattice(
                     is_zero=False,
                 )
             )
-    part_orders: dict[frozenset[int], int] = {}
-    orders = {}
-    for e in idems[1:]:
-        for J in (e.lambda_set, e.lambda_sub):
-            for part in components[J]:
-                if part not in part_orders:
-                    part_orders[part] = component_order(part, cartan)
-            orders[J] = math.prod(part_orders[part] for part in components[J])
-    return CrossSectionLattice(cartan, weight_spec, tuple(idems), orders)
+    return CrossSectionLattice(cartan, weight_spec, tuple(idems))
 
 
 def build_lattice(

@@ -188,14 +188,12 @@ class FaceLayout:
     ``face_orbits`` maps each idempotent's index to the orbit of its face
     under W, in BFS order from the face itself (lattice order over the
     idempotents, the zero first); ``unit_tables`` holds each unit's
-    256-byte translation table, in (length, word) order; ``stratum_sizes``
-    maps each idempotent's index to its stratum's size.
+    256-byte translation table, in (length, word) order.
     """
 
     vertices: tuple[Weight, ...]
     face_orbits: dict[int, tuple[frozenset[int], ...]]
     unit_tables: tuple[bytes, ...]
-    stratum_sizes: dict[int, int]
 
     @property
     def degree(self) -> int:
@@ -220,11 +218,11 @@ def face_layout(lattice: CrossSectionLattice) -> FaceLayout:
     """
     on_weight, faces = realize_on_weight(lattice)
     degree = on_weight.degree
-    unit_tables = tuple(PartialInjection.from_targets(u.perm).table for u in on_weight.elements)
+    tail = bytes([degree]) + bytes(MAX_DEGREE - degree)
+    unit_tables = tuple(bytes(u.perm) + tail for u in on_weight.elements)
     face_moves = [partial(_move_face, g.perm) for g in on_weight.generators]
     seen_faces: set[frozenset[int]] = set()
     face_orbits: dict[int, tuple[frozenset[int], ...]] = {}
-    stratum_sizes: dict[int, int] = {}
     for e in lattice.idempotents:
         orbit = bfs_orbit(faces[e], face_moves)
         if not seen_faces.isdisjoint(orbit):
@@ -234,8 +232,7 @@ def face_layout(lattice: CrossSectionLattice) -> FaceLayout:
         if size != lattice.stratum_size(e):
             raise ConstructionError(f"stratum {e.label} differs from its closed-form size")
         face_orbits[e.index] = orbit
-        stratum_sizes[e.index] = size
-    return FaceLayout(on_weight.vertex_orbit, face_orbits, unit_tables, stratum_sizes)
+    return FaceLayout(on_weight.vertex_orbit, face_orbits, unit_tables)
 
 
 def _face_code(face: frozenset[int], degree: int) -> bytes:
@@ -428,13 +425,28 @@ def iter_export(lattice: CrossSectionLattice) -> Iterator[str]:
 
     ``face_layout`` runs before the first piece, so a failed check writes
     nothing.  The elements follow, one piece per face, in the order of
-    ``_scan``; no element object is made and no piece is kept.  On a fixed
-    face each element is written from the rows of the face's sources,
-    indexed by the code's targets.  The generators (the simple reflections'
-    units, then each idempotent on its own face), the strata (ranges of
-    the checked sizes) and the vertices close the text.
+    ``_scan``, written from their byte codes: no element object is made
+    and no piece is kept.
     """
     layout = face_layout(lattice)
+    yield from _export_pieces(
+        lattice, layout, ((face, made) for _, face, made in _scan(lattice, layout))
+    )
+
+
+def _export_pieces(
+    lattice: CrossSectionLattice,
+    layout: FaceLayout,
+    faces: Iterable[tuple[frozenset[int], Iterable[bytes]]],
+) -> Iterator[str]:
+    """The export text, one piece per face of ``faces`` (each face with
+    the codes of its elements, in R's order), then a closing piece.
+
+    On a fixed face each element is written from the rows of the face's
+    sources, indexed by the code's targets.  The generators (the simple
+    reflections' units, then each idempotent on its own face), the strata
+    (ranges of the closed-form sizes) and the vertices close the text.
+    """
     n = layout.degree
     # rows[i][t]: the pair [i, t] as written at element depth.
     rows = [[f"[\n        {i},\n        {t}\n      ]" for t in range(n)] for i in range(n)]
@@ -454,8 +466,8 @@ def iter_export(lattice: CrossSectionLattice) -> Iterator[str]:
         ])
 
     separator = '{\n  "elements": [\n    '
-    for _, face, made in _scan(lattice, layout):
-        yield separator + written(face, made)
+    for face, codes in faces:
+        yield separator + written(face, codes)
         separator = ",\n    "
 
     everything = frozenset(range(n))
@@ -467,7 +479,7 @@ def iter_export(lattice: CrossSectionLattice) -> Iterator[str]:
     )
     strata, start = {}, 0
     for e in lattice.idempotents:
-        size = layout.stratum_sizes[e.index]
+        size = lattice.stratum_size(e)
         strata[e.label] = range(start, start + size)
         start += size
     yield "".join([
@@ -482,9 +494,23 @@ def iter_export(lattice: CrossSectionLattice) -> Iterator[str]:
 
 
 def monoid_to_json(monoid: RennerMonoid) -> str:
-    """The export text of ``monoid``: the pieces of ``iter_export`` over its
-    lattice, joined."""
-    return "".join(iter_export(monoid.lattice))
+    """The export text of ``monoid``, as ``iter_export`` writes it for its
+    lattice, read off its own faces and element codes rather than scanned
+    again.  Every face of a stratum's orbit carries the same number of
+    elements (see ``face_layout``), so each face's are one even slice of
+    the stratum."""
+    layout = FaceLayout(monoid.vertices, monoid.face_orbits, tuple(u.table for u in monoid.units))
+    elements = monoid.elements
+
+    def faces() -> Iterator[tuple[frozenset[int], Iterator[bytes]]]:
+        for e in monoid.lattice.idempotents:
+            orbit = monoid.face_orbits[e.index]
+            stratum = monoid.strata[e.index]
+            step = len(stratum) // len(orbit)
+            for k, face in enumerate(orbit):
+                yield face, (elements[i].code for i in stratum[k * step : (k + 1) * step])
+
+    return "".join(_export_pieces(monoid.lattice, layout, faces()))
 
 
 def _json_block(items: Iterable[str], indent: int, brackets: str = "[]") -> str:

@@ -425,7 +425,7 @@ def test_export_text_is_what_json_dumps_writes(small_grid):
 
 def test_streamed_export_is_the_built_monoids_export():
     # The stream makes no element; written per element from the built
-    # monoid, the export must be the same text on every grid configuration
+    # monoid, and by monoid_to_json, the export must be the same text on every grid configuration
     # with |R| <= 5000.
     checked = 0
     for letter, rank, mu in grid_patterns():
@@ -436,6 +436,8 @@ def test_streamed_export_is_the_built_monoids_export():
         pieces = list(iter_export(R.lattice))
         assert len(pieces) == sum(len(orbit) for orbit in R.face_orbits.values()) + 1
         assert "".join(pieces) == export_from_elements(R), (letter, rank, mu)
+        # monoid_to_json reads the same text off R's faces and codes.
+        assert monoid_to_json(R) == "".join(pieces), (letter, rank, mu)
         checked += 1
     assert checked == 41
 
