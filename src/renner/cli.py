@@ -3,22 +3,23 @@
 Reads a Cartan type and a dominant weight (or the weight's zero pattern) and
 prints the cross-section lattice, a chosen conjugacy classification,
 per-stratum class counts, or the irreducible representation count, as a
-table, JSON, or CSV.  Only ``classes --kind semigroup|action`` build the
-monoid.  ``build`` checks the face layout against the closed-form stratum
-sizes, prints those sizes as a table or CSV, and streams its JSON export
-from the faces and unit tables on the weight orbit, in pieces, making no
-element object.  On canonical D4 (|R| = 166 081; 2-vCPU machine, Python
-3.11, fresh process) ``build --format json`` takes 0.6-0.75 s and 28 MB a
-call, against 1.0-1.5 s and 166-169 MB when it built the monoid first.
-``classes --kind sim|munn`` list their classes from the lattice's
-stabilizer cosets and the faces on the weight orbit: canonical D4 takes
-0.2-0.4 s a call, against 1.1-1.6 s when it was built.  ``lattice`` prints
-the closed-form subgroup orders and generates no Weyl group; ``counts`` and
-``reps`` read only the lattice and its group on the orbit of the first
-fundamental weight.  Every monoid-level command checks
-``--max-monoid-order`` against the closed-form |R| first, so a refusal
-generates no group or orbit.  Exit codes: 0 success, 2 invalid input, 3
-size cap exceeded.
+table, JSON, or CSV.  No command builds the monoid.  ``build`` checks the
+face layout against the closed-form stratum sizes, prints those sizes as a
+table or CSV, and streams its JSON export from the faces and unit tables on
+the weight orbit, in pieces, making no element object.  On canonical D4
+(|R| = 166 081; 2-vCPU machine, Python 3.11, fresh process) ``build
+--format json`` takes 0.6-0.75 s and 28 MB a call, against 1.0-1.5 s and
+166-169 MB when it built the monoid first.  ``classes`` lists every kind
+from the lattice's stabilizer cosets and the faces on the weight orbit:
+sim and Munn directly, semigroup and action as closures on the sim classes.
+On canonical D4 a call takes 0.1-0.2 s for sim and Munn and 0.3-0.4 s and
+19 MB for semigroup and action, against 3.4-4.2 s and 112 MB when the
+closures ran on the built monoid.  ``lattice`` prints the closed-form
+subgroup orders and generates no Weyl group; ``counts`` and ``reps`` read
+only the lattice and its group on the orbit of the first fundamental
+weight.  Every monoid-level command checks ``--max-monoid-order`` against
+the closed-form |R| first, so a refusal generates no group or orbit.  Exit
+codes: 0 success, 2 invalid input, 3 size cap exceeded.
 """
 
 from __future__ import annotations
@@ -32,26 +33,17 @@ import sys
 from typing import Iterable, Optional, Sequence
 
 from .conj import (
+    CLASS_KINDS,
     ClassRow,
-    action_conjugacy_classes,
-    class_rows_to_json,
-    classification_rows,
+    class_rows_json,
     irreducible_rep_count,
     lattice_class_rows,
     munn_count_rook,
     orbit_report_rows,
-    semigroup_conjugacy_classes,
 )
 from .crosslat import CrossSectionLattice, DominantWeightSpec, build_lattice
 from .errors import RennerError, SizeCapExceeded
-from .monoid import (
-    DEFAULT_MAX_MONOID_ORDER,
-    RennerMonoid,
-    build_renner,
-    check_monoid_cap,
-    face_layout,
-    iter_export,
-)
+from .monoid import DEFAULT_MAX_MONOID_ORDER, check_monoid_cap, face_layout, iter_export
 from .rootsys import DEFAULT_MAX_GROUP_ORDER, CartanMatrix, cartan_matrix
 from .rootsys import check_group_cap, validate_type
 
@@ -113,14 +105,6 @@ def _type_and_weight(args: argparse.Namespace) -> tuple[CartanMatrix, tuple[int,
 
 def _lattice(args: argparse.Namespace) -> CrossSectionLattice:
     return build_lattice(*_type_and_weight(args), max_group_order=args.max_group_order)
-
-
-def _build_monoid(args: argparse.Namespace, max_monoid_order: int) -> RennerMonoid:
-    return build_renner(
-        *_type_and_weight(args),
-        max_group_order=args.max_group_order,
-        max_monoid_order=max_monoid_order,
-    )
 
 
 def _emit_json(doc: dict) -> None:
@@ -222,23 +206,12 @@ def cmd_build(args: argparse.Namespace) -> None:
         _emit_table(["e", "stratum_size"], rows)
 
 
-# The closures that need the monoid; sim and munn come from the lattice.
-_CLOSURES = {
-    "semigroup": semigroup_conjugacy_classes,
-    "action": action_conjugacy_classes,
-}
-
-
 def cmd_classes(args: argparse.Namespace) -> None:
-    if args.kind in _CLOSURES:
-        monoid = _build_monoid(args, args.max_monoid_order)
-        rows = classification_rows(monoid, _CLOSURES[args.kind](monoid))
-    else:
-        lattice = _lattice(args)
-        check_monoid_cap(lattice, args.max_monoid_order)
-        rows = lattice_class_rows(lattice, args.kind)
+    lattice = _lattice(args)
+    check_monoid_cap(lattice, args.max_monoid_order)
+    rows = lattice_class_rows(lattice, args.kind)
     if args.format == "json":
-        _emit_json(class_rows_to_json(args.kind, rows))
+        print(class_rows_json(args.kind, rows))
         return
     if args.format == "csv":
         _emit_csv(
@@ -334,13 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_monoid_arguments(p)
     p.set_defaults(func=cmd_lattice)
 
-    p = sub.add_parser("build", help="build the monoid and print/export it")
+    p = sub.add_parser("build", help="print the stratum sizes, or export the monoid as JSON")
     _add_monoid_arguments(p)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("classes", help="print a conjugacy classification")
     _add_monoid_arguments(p)
-    p.add_argument("--kind", required=True, choices=("sim", "munn", *_CLOSURES))
+    p.add_argument("--kind", required=True, choices=CLASS_KINDS)
     p.set_defaults(func=cmd_classes)
 
     p = sub.add_parser("counts", help="per-stratum class counts and the total")

@@ -6,12 +6,16 @@ parts), semigroup conjugacy (transitive closure of xy ~ yx), and action
 conjugacy (transitive closure of the partial conjugation action).
 
 The unit-conjugacy classes of stratum e are the W(e)-orbits on the cosets
-W / W_*(e), and each Munn class merges the unit-conjugacy classes whose
-representatives have unit-conjugate invertible parts.  So
-``lattice_class_rows`` lists both kinds from the lattice, the weight orbit
-and one representative per class, without making the monoid: sum over e of
-|W / W_*(e)| cosets instead of |R| elements.  This is what the ``classes``
-command prints for them.
+W / W_*(e).  Unit conjugacy lies inside the other three relations, so each
+of them is a union of unit-conjugacy classes.  ``lattice_class_rows`` lists
+all four kinds from the lattice, the weight orbit and one representative
+per unit-conjugacy class, without making the monoid: sum over e of
+|W / W_*(e)| cosets instead of |R| elements.  A Munn class merges the
+unit-conjugacy classes whose representatives have unit-conjugate
+invertible parts; the semigroup and action classes close the unit-conjugacy
+classes under the products of their representatives with the idempotents,
+which its docstring proves is enough.  This is what the ``classes`` command
+prints.
 
 ``sim_conjugacy_classes`` and ``munn_classes`` reach the same classes
 element by element on a built monoid, and are kept as the independent
@@ -25,26 +29,27 @@ parts, so each Munn label is read once per unit-conjugacy class, from the
 invertible part of its least member.  Brute force validates them in the
 test suite; the counts need only the lattice.
 
-The semigroup and action closures run over the monoid's generators A, the
-simple reflections and the idempotent maps of the lattice (R = W Lambda W,
-so A generates R), not over all pairs of elements: O(|R| |A|) byte-code
-translations instead of O(|R|^2).  Each function's docstring proves that
-this gives the same closure; the all-pairs closures stay in the test suite
-as oracles.  Every kind is listed as ``ClassRow``s, one per class, for the
-table, CSV and JSON outputs.
+``semigroup_conjugacy_classes`` and ``action_conjugacy_classes`` are the
+element-level check of the closures, on a built monoid.  They run over the
+monoid's generators A, the simple reflections and the idempotent maps of
+the lattice (R = W Lambda W, so A generates R), not over all pairs of
+elements: O(|R| |A|) byte-code translations instead of O(|R|^2).  Each
+function's docstring proves that this gives the same closure; the
+all-pairs closures stay in the test suite as oracles.  Every kind is listed
+as ``ClassRow``s, one per class, for the table, CSV and JSON outputs.
 """
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from typing import Hashable, Iterable, Optional, Sequence
 
 from .crosslat import CrossIdempotent, CrossSectionLattice
 from .errors import ConstructionError, SizeCapExceeded
 from .monoid import RennerMonoid, element_label, realize_on_weight, word_times_face
 from .partialinj import MAX_DEGREE, PartialInjection, _stable_power, inverse, invertible_part
-from .rootsys import WeylElement, bfs_orbit, group_conjugacy_classes
+from .rootsys import WeylElement, WeylGroup, bfs_orbit, group_conjugacy_classes
 
 class UnionFind:
     def __init__(self, size: int):
@@ -278,13 +283,18 @@ def munn_classes(monoid: RennerMonoid) -> ConjClassification:
     return _classes_by_label(monoid, map(munn_of.__getitem__, sim), "munn")
 
 
+# The kinds ``lattice_class_rows`` lists, in the order ``classes`` offers them.
+CLASS_KINDS = ("sim", "munn", "semigroup", "action")
+
+
 def lattice_class_rows(lattice: CrossSectionLattice, kind: str) -> tuple[ClassRow, ...]:
-    """The ``sim`` or ``munn`` classes of the lattice's Renner monoid, row
-    for row as ``classification_rows`` reads them off ``sim_conjugacy_classes``
-    or ``munn_classes``, from the stabilizer cosets alone: no element beyond
-    one representative per class is made.  The caller checks the monoid
-    cap; a weight orbit past ``MAX_DEGREE`` points is refused as the build
-    refuses it.
+    """The classes of one of the ``CLASS_KINDS`` of the lattice's Renner
+    monoid, row for row as ``classification_rows`` reads them off the
+    element-level classification of that kind, from the stabilizer cosets
+    and the faces alone: no element is made beyond one representative per
+    unit-conjugacy class and, for the closures, its products with the
+    idempotents.  The caller checks the monoid cap; a weight orbit past
+    ``MAX_DEGREE`` points is refused as the build refuses it.
 
     Stratum e starts at the closed-form sizes of the strata before it, and
     its first block lists u e for the least u of each coset of W_*(e), in
@@ -294,87 +304,181 @@ def lattice_class_rows(lattice: CrossSectionLattice, kind: str) -> tuple[ClassRo
     e's label; every face of e's orbit carries one equal block, so its size
     is the orbit's size times |W| / |W(e)|.
 
-    The Munn class of a sim class is the sim class of the invertible part p
-    of its representative x.  The stable domain S of x is a face of some
-    idempotent f; for a unit t carrying F_f onto S, t^{-1} p t is a
-    permutation of F_f, so v restricted to F_f for one coset v W_*(f), and
-    unit conjugate to p.  A Munn class lists the sim classes it merges by
-    their least elements, so it takes the first one's index, stratum,
-    representative and label, and their summed size.
+    The other kinds are unions of sim classes, found on those classes by
+    labelling products.  An element z has a face D of some idempotent f as
+    domain; for a unit t carrying F_f onto D, t^{-1} z t is unit conjugate
+    to z and has domain F_f, so it is v restricted to F_f for one coset
+    v W_*(f), whose orbit names the sim class of z.  ``_faces_by_domain``
+    finds f and t once per face, so a label is three byte-code translations
+    and two dictionary lookups.
+
+    * Munn: the Munn class of a sim class is the sim class of the invertible
+      part of its representative x, which is x restricted to its stable
+      domain S, a face: so x is labelled at S instead of at its domain.
+    * Semigroup: unit conjugacy lies inside the closure of the primary
+      pairs uv ~ vu, as s (x s^-1) and (x s^-1) s = x are a primary pair for
+      a unit s; so the closure can run on the sim classes.  Write u = w e_F
+      for a unit w and the idempotent e_F on the domain F of u.  Then
+      w^-1 (uv) w = e_F x and vu = x e_F with x = v w, and for x = s y s^-1,
+      y the representative of its sim class, s^-1 (e_F x) s = e_G y and
+      s^-1 (x e_F) s = y e_G with G = s^-1 F.  So every primary pair is
+      unit conjugate, term by term, to the pair (e_G y, y e_G) of a
+      representative y and a face G, which is itself a primary pair:
+      uniting the sim classes of y e_G and e_G y for every y and G gives
+      the closure.
+    * Action: a unit's domain is everything, so unit conjugacy lies inside
+      the partial conjugation closure too.  A move x -> sigma x sigma^-1,
+      with the stable domain S(x) inside the domain F of sigma = w e_F, is
+      unit conjugate to x -> e_F x e_F, and for x = s y s^-1 as above to
+      y -> e_G y e_G, where S(x) = s S(y) lies in F exactly when S(y) lies in
+      G = s^-1 F.  That is itself a move, by sigma = e_G: uniting the sim
+      class of y with that of e_G y e_G for every representative y and
+      every face G holding S(y) gives the closure.
+
+    A merged class lists the sim classes it unites by their least elements,
+    so it takes the first one's index, representative and label, and their
+    summed size.  Munn keeps the first one's stratum, the class's subrank;
+    the semigroup and action rows, like their element-level
+    classifications, have none.
     """
-    if kind not in ("sim", "munn"):
-        raise ValueError(f"no lattice route for {kind!r} classes")
+    if kind not in CLASS_KINDS:
+        raise ValueError(f"no {kind!r} classes: the kinds are {', '.join(CLASS_KINDS)}")
     group = lattice.group
     on_weight, faces = realize_on_weight(lattice)
     n = on_weight.degree
     pad = bytes(MAX_DEGREE - n)
-    on_weight_of = dict(zip(group.elements, on_weight.elements))
-
-    def table(w: WeylElement) -> bytes:
-        """The unit of w as a translation table."""
-        return bytes(on_weight_of[w].perm) + bytes([n]) + pad
+    # Each unit as a translation table, by its word: the two realizations
+    # list the group in one order, and a word hashes faster than an element.
+    tail = bytes([n]) + pad
+    table = {w.word: bytes(u.perm) + tail for w, u in zip(group.elements, on_weight.elements)}
 
     face_codes = {e: bytes([i if i in face else n for i in range(n)] + [n])
                   for e, face in faces.items()}
     rows: list[ClassRow] = []
-    cosets: dict[CrossIdempotent, tuple[tuple[int, ...], tuple[WeylElement, ...]]] = {}
+    # Per idempotent f, the sim row of each restriction of a unit to F_f.
+    row_at: dict[CrossIdempotent, dict[bytes, int]] = {}
     offset = 0
     for e, (_, roots, coset_min) in zip(lattice.idempotents, _coset_orbits(lattice)):
-        cosets[e] = roots, coset_min
         face_count = lattice.weyl_order // lattice.centralizer_order(e)
+        first_row = {}
         for root, orbit_size in Counter(roots).items():  # roots ascend
             u = coset_min[root]
             if e.is_zero:
                 label = "0"
             else:
                 label = word_times_face(u.word, None if len(faces[e]) == n else e.label)
-            code = face_codes[e].translate(table(u))
+            code = face_codes[e].translate(table[u.word])
+            first_row[root] = len(rows)
             rows.append(ClassRow(offset + root, e.label, orbit_size * face_count, code, label))
+        if kind != "sim":
+            row_at[e] = {face_codes[e].translate(table[v.word]): first_row[root]
+                         for v, root in zip(coset_min, roots)}
         offset += lattice.stratum_size(e)
     if kind == "sim":
         return tuple(rows)
 
-    # Every nonzero face, with its idempotent and a word whose unit carries
-    # that idempotent's face onto it.
-    def mover(j: int):
-        perm = on_weight.generators[j].perm
-        return lambda item: (frozenset(perm[i] for i in item[0]), item[1] + (j,))
+    at_face = _faces_by_domain(on_weight, face_codes, row_at)
+    domain_of = bytes([1]) * n + bytes(256 - n)  # a code's defined points
 
-    moves = [mover(j) for j in range(len(on_weight.generators))]
-    face_index: dict[frozenset[int], tuple[CrossIdempotent, tuple[int, ...]]] = {}
-    for f in lattice.nonzero:
-        for face, word in bfs_orbit((faces[f], ()), moves, key=itemgetter(0)):
-            if face in face_index:
-                raise ConstructionError("face orbits of distinct idempotents overlap")
-            face_index[face] = f, word
-    gen_tables = [table(g) for g in group.generators]
-    identity = bytes(range(n + 1))
-    coset_ids: dict[CrossIdempotent, dict[bytes, int]] = {}  # the f's reached
+    def sim_of(z: bytes, face: bytes) -> int:
+        """The sim row of z, conjugated by the unit at ``face``, z's domain
+        or a face inside it."""
+        t, t_inv, rows_at_f = at_face[face]
+        return rows_at_f[t.translate(z + pad).translate(t_inv)]
 
-    def munn_key(x: bytes) -> tuple[CrossIdempotent, int]:
-        stable = frozenset(_stable_power(x)) - {n}
-        if not stable:
-            return lattice.zero, 0
-        f, word = face_index[stable]
-        t = identity
-        for j in word:
-            t = t.translate(gen_tables[j])
-        t_inv = bytes.maketrans(t, identity)
-        p = face_codes[f].translate(t + pad).translate(x + pad).translate(t_inv)
-        roots, coset_min = cosets[f]
-        ids = coset_ids.get(f)
-        if ids is None:
-            ids = coset_ids[f] = {
-                face_codes[f].translate(table(v)): cid for cid, v in enumerate(coset_min)
-            }
-        return f, roots[ids[p]]
+    if kind == "munn":
+        labels = [sim_of(row.code, _stable_power(row.code).translate(domain_of)) for row in rows]
+    else:
+        # Every idempotent but the zero and the identity, which fix each y,
+        # with its face's points as an integer mask, a byte per point.
+        every = bytes(range(n + 1))
+        idempotents = []
+        for mask, (t, t_inv, _) in at_face.items():
+            if 0 < mask.count(1) < n:
+                e_code = t_inv[: n + 1].translate(t + pad)  # t e_F t^-1, the identity on t F
+                idempotents.append((int.from_bytes(mask, "little"), e_code, e_code + pad))
+        # bytes.maketrans(y, hit) sends the values of y, its image and the
+        # undefined n, to 255, which no point is, and every other point to
+        # itself; on_image then reads 255 as 1 and the rest as 0.
+        hit, on_image = bytes([255]) * (n + 1), bytes(255) + bytes([1])
+        uf = UnionFind(len(rows))
+        for i, row in enumerate(rows):
+            y = row.code
+            y_table = y + pad
+            # A product of y with e_G depends on G only through G's points in
+            # the domain and image of y, so faces alike there are tried once.
+            image = every.translate(bytes.maketrans(y, hit)).translate(on_image)
+            moved = (int.from_bytes(y.translate(domain_of), "little")
+                     | int.from_bytes(image, "little"))
+            if kind == "semigroup":
+                cuts = {points & moved: (e_code, e_table)
+                        for points, e_code, e_table in idempotents}
+                for e_code, e_table in cuts.values():
+                    left, right = e_code.translate(y_table), y.translate(e_table)
+                    if left != right:
+                        uf.union(sim_of(left, left.translate(domain_of)),
+                                 sim_of(right, right.translate(domain_of)))
+            else:
+                stable = int.from_bytes(_stable_power(y).translate(domain_of), "little")
+                cuts = {points & moved: (e_code, e_table)
+                        for points, e_code, e_table in idempotents
+                        if points & stable == stable}
+                for e_code, e_table in cuts.values():
+                    z = e_code.translate(y_table).translate(e_table)
+                    if z != y:
+                        uf.union(i, sim_of(z, z.translate(domain_of)))
+        labels = [uf.find(i) for i in range(len(rows))]
 
-    merged: dict[tuple[CrossIdempotent, int], ClassRow] = {}
-    for row in rows:  # ascending least elements
-        key = munn_key(row.code)
-        first = merged.get(key)
-        merged[key] = row if first is None else replace(first, size=first.size + row.size)
-    return tuple(merged.values())
+    merged: dict[int, ClassRow] = {}
+    for row, label in zip(rows, labels):  # ascending least elements
+        first = merged.get(label)
+        merged[label] = row if first is None else replace(first, size=first.size + row.size)
+    if kind == "munn":
+        return tuple(merged.values())
+    return tuple(replace(row, stratum=None) for row in merged.values())
+
+
+def _faces_by_domain(
+    on_weight: WeylGroup,
+    face_codes: dict[CrossIdempotent, bytes],
+    row_at: dict[CrossIdempotent, dict[bytes, int]],
+) -> dict[bytes, tuple[bytes, bytes, dict[bytes, int]]]:
+    """Every face of the weight orbit, keyed by its points as a 0/1 mask
+    (a code translated by 1 on defined points, 0 on the undefined one): the
+    code of t restricted to F_f, the table of t^-1, and ``row_at[f]``, for
+    the idempotent f whose face orbit holds it and a unit t carrying F_f
+    onto it.
+
+    Each orbit is a breadth-first search from F_f by the simple
+    reflections, each its own inverse, so s moves a face's mask by one
+    translation and t to s t by another.
+    """
+    n = on_weight.degree
+    pad = bytes(MAX_DEGREE - n)
+    every = bytes(range(n + 1))
+    domain_of = bytes([1]) * n + bytes(256 - n)
+    codes = [bytes(g.perm) + bytes([n]) for g in on_weight.generators]
+    moves = [(code, code + pad) for code in codes]
+    at_face: dict[bytes, tuple[bytes, bytes, dict[bytes, int]]] = {}
+    for f, base in face_codes.items():
+        rows_at_f = row_at[f]
+        start = base.translate(domain_of)
+        if start in at_face:
+            raise ConstructionError("face orbits of distinct idempotents overlap")
+        at_face[start] = base, bytes(range(256)), rows_at_f
+        orbit = [(start, every)]
+        for mask, t in orbit:  # grows while we iterate
+            mask_table = mask + pad
+            for s_code, s_table in moves:
+                moved = s_code.translate(mask_table)
+                if moved in at_face:
+                    if at_face[moved][2] is not rows_at_f:
+                        raise ConstructionError("face orbits of distinct idempotents overlap")
+                    continue
+                st = t.translate(s_table)
+                at_face[moved] = base.translate(st + pad), bytes.maketrans(st, every), rows_at_f
+                orbit.append((moved, st))
+    return at_face
 
 
 def semigroup_conjugacy_classes(monoid: RennerMonoid) -> ConjClassification:
@@ -390,6 +494,11 @@ def semigroup_conjugacy_classes(monoid: RennerMonoid) -> ConjClassification:
 
     the first step a pair whose right factor has k - 1 generators, the
     second the generator step on x = a_2 ... a_k u.
+
+    The ``classes`` command lists these classes by ``lattice_class_rows``,
+    on the unit-conjugacy classes and without the monoid; this
+    element-level pass is the independent check of that route, and library
+    API for callers that hold a monoid.
     """
     index = monoid.index_by_code
     gens = [(a.code, a.table) for a in monoid.generators]
@@ -425,6 +534,11 @@ def action_conjugacy_classes(monoid: RennerMonoid) -> ConjClassification:
     domain S of x and maps S onto S, so S lies in the domain D of g exactly
     when p is unchanged by the partial identity on D: one translation per
     generator.
+
+    The ``classes`` command lists these classes by ``lattice_class_rows``,
+    on the unit-conjugacy classes and without the monoid; this
+    element-level pass is the independent check of that route, and library
+    API for callers that hold a monoid.
     """
     index, n = monoid.index_by_code, monoid.degree
     moves = [
@@ -513,6 +627,32 @@ def class_rows_to_json(kind: str, rows: Sequence[ClassRow]) -> dict:
         for row in rows
     ]
     return {"kind": kind, "class_count": len(rows), "classes": classes}
+
+
+def class_rows_json(kind: str, rows: Sequence[ClassRow]) -> str:
+    """The text ``json.dumps(class_rows_to_json(kind, rows), indent=2,
+    sort_keys=True)`` writes, written from the rows' byte codes: with an
+    indent, ``json.dumps`` runs its pure-Python encoder, which takes longer
+    than listing the classes."""
+    dumps = json.dumps
+    classes = []
+    for row in rows:
+        undefined = len(row.code) - 1
+        pairs = ",\n        ".join([
+            f"[\n          {i},\n          {t}\n        ]"
+            for i, t in enumerate(row.code) if t != undefined
+        ])
+        stratum = "null" if row.stratum is None else dumps(row.stratum)
+        classes.append(
+            f'{{\n      "label": {dumps(row.label)},\n      "representative": '
+            + (f"[\n        {pairs}\n      ]" if pairs else "[]")
+            + f',\n      "size": {row.size},\n      "stratum": {stratum}\n    }}'
+        )
+    body = "[\n    " + ",\n    ".join(classes) + "\n  ]" if classes else "[]"
+    return (
+        f'{{\n  "class_count": {len(rows)},\n  "classes": {body},\n'
+        f'  "kind": {dumps(kind)}\n}}'
+    )
 
 
 def orbit_report_rows(lattice: CrossSectionLattice) -> list[list]:

@@ -184,6 +184,13 @@ def _no_element(*args, **kwargs):
     raise AssertionError("the monoid build ran")
 
 
+def _forbid_the_monoid(monkeypatch):
+    """Make building a monoid, or making one by hand, fail.  The CLI imports
+    neither, so they are disabled where they are defined."""
+    monkeypatch.setattr("renner.monoid.build_renner", _no_element)
+    monkeypatch.setattr("renner.monoid.RennerMonoid.__init__", _no_element)
+
+
 def test_cap_exceeded_exit_3(capsys, monkeypatch):
     code, _, err = run(
         capsys,
@@ -313,20 +320,17 @@ total: 35
 }
 
 
-def test_sim_and_munn_classes_never_build_the_monoid(capsys, monkeypatch):
-    # Both kinds answer from the lattice; the closures still build.
-    monkeypatch.setattr("renner.cli.build_renner", _no_element)
+def test_no_classes_kind_builds_the_monoid(capsys, monkeypatch):
+    # Every kind answers from the lattice, the closures on the sim classes.
+    _forbid_the_monoid(monkeypatch)
     config = ("--type", "B3", "--weight", "1,1,1")
-    for kind, count in (("sim", 197), ("munn", 30)):
+    for kind, count in (("sim", 197), ("munn", 30), ("semigroup", 30), ("action", 30)):
         for fmt in ("table", "csv"):
             code, _, _ = run(capsys, "classes", *config, "--kind", kind, "--format", fmt)
             assert code == 0, (kind, fmt)
         code, out, _ = run(capsys, "classes", *config, "--kind", kind, "--format", "json")
         assert code == 0 and json.loads(out)["class_count"] == count, kind
-    for kind in ("semigroup", "action"):
-        with pytest.raises(AssertionError, match="the monoid build ran"):
-            run(capsys, "classes", *config, "--kind", kind)
-    # Over the cap, both refuse from the closed-form |R| before any orbit,
+    # Over the cap, every kind refuses from the closed-form |R| before any orbit,
     # of the weight (1152 points for canonical F4) or of omega_1, is made.
     sizes = []
     original = rootsys.weight_orbit
@@ -337,7 +341,7 @@ def test_sim_and_munn_classes_never_build_the_monoid(capsys, monkeypatch):
         return orbit
 
     monkeypatch.setattr("renner.rootsys.weight_orbit", recording)
-    for kind in ("sim", "munn"):
+    for kind in ("sim", "munn", "semigroup", "action"):
         code, out, err = run(
             capsys, "classes", "--type", "F4", "--weight", "1,1,1,1", "--kind", kind
         )
@@ -347,7 +351,7 @@ def test_sim_and_munn_classes_never_build_the_monoid(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command,fmt", sorted(COUNTS_AND_REPS_OUTPUT))
 def test_counts_and_reps_never_build_the_monoid(capsys, monkeypatch, command, fmt):
-    monkeypatch.setattr("renner.cli.build_renner", _no_element)
+    _forbid_the_monoid(monkeypatch)
     code, out, _ = run(capsys, command, "--type", "G2", "--weight", "1,1", "--format", fmt)
     assert code == 0
     assert out == COUNTS_AND_REPS_OUTPUT[command, fmt]
@@ -356,7 +360,7 @@ def test_counts_and_reps_never_build_the_monoid(capsys, monkeypatch, command, fm
 def test_build_never_builds_the_monoid(capsys, monkeypatch, small_grid):
     # Every format answers from the face layout and the unit tables; the
     # sizes table and csv print are the built monoid's strata.
-    monkeypatch.setattr("renner.cli.build_renner", _no_element)
+    _forbid_the_monoid(monkeypatch)
     built, _ = small_grid
     for config, R in built:
         lattice = R.lattice

@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import pytest
 
 from conftest import cached_build_lattice, grid_patterns, make_monoid
@@ -13,6 +16,8 @@ from renner import (
     SizeCapExceeded,
     action_conjugacy_classes,
     cartan_matrix,
+    class_rows_json,
+    class_rows_to_json,
     classification_rows,
     classification_to_json,
     compose,
@@ -462,14 +467,18 @@ def grid_lattices(max_order):
 
 
 def test_lattice_route_lists_the_element_level_classes(small_grid):
-    # Every grid configuration with |R| <= 5000: the rows made from the
-    # cosets alone equal, in order, the least index, stratum, size,
-    # representative code and element_label read off the built monoid.
+    # Every grid configuration with |R| <= 5000, every kind: the rows made
+    # from the cosets and faces alone (the closures on the sim classes)
+    # equal, in order, the least index, stratum, size, representative code
+    # and element_label read off the built monoid's classification.
     built = dict(small_grid[0])
     checked = 0
     for config, lattice in grid_lattices(5000):
         R = built.get("{}{}{}".format(*config)) or make_monoid(*config, max_monoid_order=5000)
-        for kind, classify in (("sim", sim_conjugacy_classes), ("munn", munn_classes)):
+        for kind, classify in (
+            ("sim", sim_conjugacy_classes), ("munn", munn_classes),
+            ("semigroup", semigroup_conjugacy_classes), ("action", action_conjugacy_classes),
+        ):
             rows = lattice_class_rows(lattice, kind)
             assert rows == classification_rows(R, classify(R)), (config, kind)
         checked += 1
@@ -492,8 +501,24 @@ def test_lattice_route_counts_on_the_grid():
         assert len(munn) == irreducible_rep_count(lattice), config
         for rows in (sim, munn):
             assert sum(row.size for row in rows) == lattice.monoid_order, config
+        # The paper's theorem: the closures list Munn's classes, each with
+        # its least element, size and label, and no stratum.
+        for kind in ("semigroup", "action"):
+            rows = lattice_class_rows(lattice, kind)
+            assert rows == tuple(replace(row, stratum=None) for row in munn), (config, kind)
         checked += 1
     assert checked == 58
-    # The closures have no lattice route.
-    with pytest.raises(ValueError):
-        lattice_class_rows(lattice, "action")
+    with pytest.raises(ValueError, match="no 'character' classes"):
+        lattice_class_rows(lattice, "character")
+
+
+def test_class_listing_text_is_what_json_dumps_writes():
+    # Every kind on B3 (1,0,1), with the zero's empty representative, and an
+    # empty listing: the text written from the rows is the document's dump.
+    lattice = cached_build_lattice(cartan_matrix("B", 3), (1, 0, 1))
+    for kind in conj.CLASS_KINDS:
+        rows = lattice_class_rows(lattice, kind)
+        doc = class_rows_to_json(kind, rows)
+        assert class_rows_json(kind, rows) == json.dumps(doc, indent=2, sort_keys=True), kind
+    empty = class_rows_to_json("sim", ())
+    assert class_rows_json("sim", ()) == json.dumps(empty, indent=2, sort_keys=True)

@@ -22,13 +22,12 @@ its queries, so any change to an answer, a format or a refusal changes it.
   configurations): both answer from closed-form orders, checked here
   against enumerated subgroups.
 
-Lattices and monoids never change once made (a lattice's group and
-subgroups are filled in once, on first use), so each configuration's
-lattice and monoid are built once and shared by its queries.
+Lattices never change once made (a lattice's group and subgroups are
+filled in once, on first use), so each configuration's lattice is built
+once and shared by its queries.
 """
 
 import contextlib
-import functools
 import hashlib
 import io
 
@@ -154,7 +153,8 @@ def test_sim_and_munn_classes_grid_digest(monkeypatch):
 
 
 def test_semigroup_and_action_classes_digest(monkeypatch):
-    monkeypatch.setattr(cli, "build_renner", functools.cache(cli.build_renner))
+    # Both kinds answer from the lattice, on the sim classes.
+    monkeypatch.setattr(cli, "build_lattice", cached_build_lattice)
     assert digest_of(pairwise_argvs()) == (PAIRWISE_DIGEST, 16 * 6)
 
 
