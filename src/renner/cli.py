@@ -10,8 +10,9 @@ the weight orbit, in pieces, making no element object.  On canonical D4
 (|R| = 166 081; 2-vCPU machine, Python 3.11, fresh process) ``build
 --format json`` takes 0.6-0.75 s and 28 MB a call, against 1.0-1.5 s and
 166-169 MB when it built the monoid first.  ``classes`` lists every kind
-from the lattice's stabilizer cosets and the faces on the weight orbit:
-sim and Munn directly, semigroup and action as closures on the sim classes.
+from the lattice's stabilizer cosets and the same checked face layout as
+``build``, so a failed check prints nothing: sim and Munn directly,
+semigroup and action as closures on the sim classes.
 On canonical D4 a call takes 0.1-0.2 s for sim and Munn and 0.3-0.4 s and
 19 MB for semigroup and action, against 3.4-4.2 s and 112 MB when the
 closures ran on the built monoid.  ``lattice`` prints the closed-form

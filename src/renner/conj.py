@@ -14,20 +14,18 @@ per unit-conjugacy class, without making the monoid: sum over e of
 unit-conjugacy classes whose representatives have unit-conjugate
 invertible parts; the semigroup and action classes close the unit-conjugacy
 classes under the products of their representatives with the idempotents,
-which its docstring proves is enough.  This is what the ``classes`` command
-prints.
+which its docstring proves is enough.  The faces and their transporters
+come from ``monoid.face_layout``, which also checks the layout against the
+closed-form stratum sizes; this module walks no face orbit of its own.
+This is what the ``classes`` command prints.
 
 ``sim_conjugacy_classes`` and ``munn_classes`` reach the same classes
 element by element on a built monoid, and are kept as the independent
-check of that route.  Each stratum is one equal block per face.  The first
-block, on the idempotent's own face, lists the stabilizer cosets in order,
-so its unit-conjugacy classes are the coset orbits; every later block is
-the first conjugated by its face's transporter, so each of its elements
-takes the class of its conjugate there, found by two byte-code
-translations.  Unit-conjugate elements have unit-conjugate invertible
-parts, so each Munn label is read once per unit-conjugacy class, from the
-invertible part of its least member.  Brute force validates them in the
-test suite; the counts need only the lattice.
+check of that route: the unit-conjugacy classes are closed by union-find
+under conjugation by the simple reflections, reading no coset orbit, and
+unit-conjugate elements have unit-conjugate invertible parts, so each Munn
+label is read once per unit-conjugacy class, from the invertible part of
+its least member.  The counts need only the lattice.
 
 ``semigroup_conjugacy_classes`` and ``action_conjugacy_classes`` are the
 element-level check of the closures, on a built monoid.  They run over the
@@ -46,10 +44,10 @@ from dataclasses import dataclass, replace
 from typing import Hashable, Iterable, Optional, Sequence
 
 from .crosslat import CrossIdempotent, CrossSectionLattice
-from .errors import ConstructionError, SizeCapExceeded
-from .monoid import RennerMonoid, element_label, realize_on_weight, word_times_face
+from .errors import SizeCapExceeded
+from .monoid import RennerMonoid, element_label, face_layout, word_times_face
 from .partialinj import MAX_DEGREE, PartialInjection, _stable_power, inverse, invertible_part
-from .rootsys import WeylElement, WeylGroup, bfs_orbit, group_conjugacy_classes
+from .rootsys import bfs_orbit, group_conjugacy_classes
 
 class UnionFind:
     def __init__(self, size: int):
@@ -123,32 +121,32 @@ class ClassRow:
 
 def _coset_orbits(
     lattice: CrossSectionLattice,
-) -> tuple[tuple[OrbitReport, tuple[int, ...], tuple[WeylElement, ...]], ...]:
+) -> tuple[tuple[OrbitReport, tuple[int, ...], tuple[int, ...]], ...]:
     """Per idempotent, in lattice order: the orbits of the centralizer on
     the left cosets of the stabilizer, acting by conjugation; the orbit of
     each coset, in coset order, named by its least coset's number; and each
-    coset's least member, in (length, word) order.  The zero stratum is the
-    single class of 0, whose element's normal form has only the identity as
-    unit.
+    coset's least member, as its position in (length, word) order.  The
+    zero stratum is the single class of 0, whose element's normal form has
+    only the identity as unit.
 
     Only products with simple reflections are needed, so they are read from
     the group's index tables: s w and w s for every simple reflection s and
     element w.
     """
     group = lattice.group
-    elements, left, right = group.elements, group.left, group.right
+    left, right = group.left, group.right
     orbits = []
     for e in lattice.idempotents:
         if e.is_zero:
-            orbits.append((OrbitReport(e, 1, 1, (1,)), (0,), (group.identity,)))
+            orbits.append((OrbitReport(e, 1, 1, (1,)), (0,), (0,)))
             continue
         # The coset w W_*(e) is w's orbit under right multiplication by the
         # lambda_sub reflections, and in (length, word) order the first
         # member met is the least.
         moves = [right[j].__getitem__ for j in sorted(e.lambda_sub)]
-        coset_of = [-1] * len(elements)
+        coset_of = [-1] * group.order
         coset_min: list[int] = []
-        for k in range(len(elements)):
+        for k in range(group.order):
             if coset_of[k] < 0:
                 for w in bfs_orbit(k, moves):
                     coset_of[w] = len(coset_min)
@@ -161,13 +159,11 @@ def _coset_orbits(
                 uf.union(cid, coset_of[s_times[times_s[u]]])
         # Each root is its orbit's least coset number, and coset_min is in
         # (length, word) order, so the roots name the orbits' least members
-        # and first appear in increasing order; munn_classes finds each
-        # class's least element at its root's place in the stratum's first
-        # block.
+        # and first appear in increasing order.
         roots = tuple(uf.find(cid) for cid in range(len(coset_min)))
         sizes = Counter(roots)
         report = OrbitReport(e, len(coset_min), len(sizes), tuple(sizes.values()))
-        orbits.append((report, roots, tuple(elements[k] for k in coset_min)))
+        orbits.append((report, roots, tuple(coset_min)))
     return tuple(orbits)
 
 
@@ -182,47 +178,36 @@ def count_sim_classes(lattice: CrossSectionLattice) -> int:
     return sum(r.orbit_count for r in stratum_orbit_reports(lattice))
 
 
-def _sim_labels(monoid: RennerMonoid) -> list[tuple[int, int]]:
-    """The unit-conjugacy class of every element, as (stratum, orbit).
-
-    The stratum is one equal block per face of e's orbit, in that order.
-    The first block, on e's own face, holds u e for the least u of each
-    coset of W_*(e), in coset order, and u e ~ v e exactly when u W_*(e)
-    and v W_*(e) lie in one W(e)-orbit, so it takes the coset orbits as its
-    labels.  An element x of a later block, whose face is e's face moved by
-    the transporter t, is unit conjugate to t^{-1} x t in the first block.
-    """
-    elements, index = monoid.elements, monoid.index_by_code
-    pad = bytes(MAX_DEGREE - monoid.degree)  # code + pad is an element's table
-    labels: list[tuple[int, int]] = [(0, 0)] * monoid.order
-    for e, (_, roots, _) in zip(monoid.lattice.idempotents, _coset_orbits(monoid.lattice)):
-        stratum, faces = monoid.strata[e.index], monoid.face_orbits[e.index]
-        block = len(stratum) // len(faces)
-        if len(roots) != block:
-            raise ConstructionError(
-                f"stratum {e.label} has {block} elements per face but {len(roots)} cosets"
-            )
-        first = stratum[0]
-        labels[first:first + block] = [(e.index, root) for root in roots]
-        for k in range(1, len(faces)):
-            t = monoid.unit_for(monoid.transporters[faces[k]].unit)
-            t_code, t_inv_table = t.code, inverse(t).table
-            for i in stratum[k * block:(k + 1) * block]:
-                # The code of t^{-1} after x after t.
-                code = t_code.translate(elements[i].code + pad).translate(t_inv_table)
-                labels[i] = labels[index[code]]
-    return labels
+def _sim_roots(monoid: RennerMonoid) -> list[int]:
+    """The unit-conjugacy class of every element, named by its least
+    member's index: orbits of sigma -> w sigma w^{-1} over the unit group,
+    closed by union-find under conjugation by the generators, on byte
+    codes."""
+    index = monoid.index_by_code
+    pad = bytes(MAX_DEGREE - monoid.degree)
+    uf = UnionFind(monoid.order)
+    # The generators are simple reflections, so each is its own inverse.
+    gens = [(u.code, u.table) for u in map(monoid.unit_for, monoid.group.generators)]
+    for idx, x in enumerate(monoid.elements):
+        table = x.code + pad
+        for code, g_table in gens:
+            uf.union(idx, index[code.translate(table).translate(g_table)])
+    return [uf.find(idx) for idx in range(monoid.order)]
 
 
 def sim_conjugacy_classes(monoid: RennerMonoid) -> ConjClassification:
-    """Unit-conjugacy classes, one per centralizer orbit on stabilizer
-    cosets, each element's orbit read off its normal form (the zero
-    stratum's one orbit is the class of 0).
+    """Unit-conjugacy classes, element by element: the union-find of
+    ``_sim_roots``, which reads no coset orbit and no face.
 
     The ``classes`` command lists these classes by ``lattice_class_rows``,
     without the monoid; this element-level pass is the independent check of
     that route, and library API for callers that hold a monoid."""
-    return _classes_by_label(monoid, _sim_labels(monoid), "sim")
+    return _classes_by_label(monoid, _sim_roots(monoid), "sim")
+
+
+# The oracle's name, which the tests and the benchmark's recorder import:
+# the element-level sim classes are the brute force.
+sim_classes_bruteforce = sim_conjugacy_classes
 
 
 def _classes_by_label(
@@ -244,43 +229,23 @@ def _classes_by_label(
     return ConjClassification(kind, classes, reps, strata)
 
 
-def sim_classes_bruteforce(monoid: RennerMonoid) -> ConjClassification:
-    """Oracle: direct orbits of sigma -> w sigma w^{-1} over the unit group
-    (conjugating by the generators suffices to close the orbits), on byte
-    codes.  No command calls it; it checks ``sim_conjugacy_classes``, and
-    through it the lattice route, and the benchmark's recorder reads it."""
-    index = monoid.index_by_code
-    pad = bytes(MAX_DEGREE - monoid.degree)
-    uf = UnionFind(monoid.order)
-    # The generators are simple reflections, so each is its own inverse.
-    gens = [(u.code, u.table) for u in map(monoid.unit_for, monoid.group.generators)]
-    for idx, x in enumerate(monoid.elements):
-        table = x.code + pad
-        for code, g_table in gens:
-            uf.union(idx, index[code.translate(table).translate(g_table)])
-    return _classes_by_label(monoid, map(uf.find, range(monoid.order)), "sim")
-
-
 def munn_classes(monoid: RennerMonoid) -> ConjClassification:
     """Partition by the unit-conjugacy class of the invertible part, so
     each class lies over one subrank (those with zero invertible part over
     the zero's).
 
     Unit-conjugate elements have unit-conjugate invertible parts, so the
-    invertible part is taken once per sim class, of its least member: the
-    element at its root's place in its stratum's first block.
+    invertible part is taken once per sim class, of its least member, the
+    class's union-find root.
 
     The ``classes`` command lists these classes by ``lattice_class_rows``,
     without the monoid; this element-level pass is the independent check of
     that route, and library API for callers that hold a monoid.
     """
-    sim = _sim_labels(monoid)
-    elements, index, strata = monoid.elements, monoid.index_of, monoid.strata
-    munn_of = {
-        (e, root): sim[index(invertible_part(elements[strata[e][0] + root]))]
-        for e, root in dict.fromkeys(sim)
-    }
-    return _classes_by_label(monoid, map(munn_of.__getitem__, sim), "munn")
+    roots = _sim_roots(monoid)
+    elements, index = monoid.elements, monoid.index_of
+    munn_of = {root: roots[index(invertible_part(elements[root]))] for root in dict.fromkeys(roots)}
+    return _classes_by_label(monoid, map(munn_of.__getitem__, roots), "munn")
 
 
 # The kinds ``lattice_class_rows`` lists, in the order ``classes`` offers them.
@@ -293,8 +258,9 @@ def lattice_class_rows(lattice: CrossSectionLattice, kind: str) -> tuple[ClassRo
     element-level classification of that kind, from the stabilizer cosets
     and the faces alone: no element is made beyond one representative per
     unit-conjugacy class and, for the closures, its products with the
-    idempotents.  The caller checks the monoid cap; a weight orbit past
-    ``MAX_DEGREE`` points is refused as the build refuses it.
+    idempotents.  The caller checks the monoid cap; ``face_layout`` runs
+    first, so a weight orbit past ``MAX_DEGREE`` points is refused, and a
+    layout that fails a check raises, as the build's do.
 
     Stratum e starts at the closed-form sizes of the strata before it, and
     its first block lists u e for the least u of each coset of W_*(e), in
@@ -308,9 +274,9 @@ def lattice_class_rows(lattice: CrossSectionLattice, kind: str) -> tuple[ClassRo
     labelling products.  An element z has a face D of some idempotent f as
     domain; for a unit t carrying F_f onto D, t^{-1} z t is unit conjugate
     to z and has domain F_f, so it is v restricted to F_f for one coset
-    v W_*(f), whose orbit names the sim class of z.  ``_faces_by_domain``
-    finds f and t once per face, so a label is three byte-code translations
-    and two dictionary lookups.
+    v W_*(f), whose orbit names the sim class of z.  ``face_layout``
+    records f and t for every face, so a label is three byte-code
+    translations and two dictionary lookups.
 
     * Munn: the Munn class of a sim class is the sim class of the invertible
       part of its representative x, which is x restricted to its stable
@@ -343,46 +309,47 @@ def lattice_class_rows(lattice: CrossSectionLattice, kind: str) -> tuple[ClassRo
     """
     if kind not in CLASS_KINDS:
         raise ValueError(f"no {kind!r} classes: the kinds are {', '.join(CLASS_KINDS)}")
-    group = lattice.group
-    on_weight, faces = realize_on_weight(lattice)
-    n = on_weight.degree
+    layout = face_layout(lattice)
+    n = layout.degree
     pad = bytes(MAX_DEGREE - n)
-    # Each unit as a translation table, by its word: the two realizations
-    # list the group in one order, and a word hashes faster than an element.
-    tail = bytes([n]) + pad
-    table = {w.word: bytes(u.perm) + tail for w, u in zip(group.elements, on_weight.elements)}
+    tables, words = layout.unit_tables, [w.word for w in lattice.group.elements]
+    # The code of the identity on each idempotent's own face, the one whose
+    # transporter is the identity, by the idempotent's index.
+    base = {face.owner.index: face.map for face in layout.faces.values() if face.unit == 0}
 
-    face_codes = {e: bytes([i if i in face else n for i in range(n)] + [n])
-                  for e, face in faces.items()}
     rows: list[ClassRow] = []
     # Per idempotent f, the sim row of each restriction of a unit to F_f.
-    row_at: dict[CrossIdempotent, dict[bytes, int]] = {}
+    row_at: dict[int, dict[bytes, int]] = {}
     offset = 0
     for e, (_, roots, coset_min) in zip(lattice.idempotents, _coset_orbits(lattice)):
         face_count = lattice.weyl_order // lattice.centralizer_order(e)
+        e_code = base[e.index]
         first_row = {}
         for root, orbit_size in Counter(roots).items():  # roots ascend
             u = coset_min[root]
             if e.is_zero:
                 label = "0"
             else:
-                label = word_times_face(u.word, None if len(faces[e]) == n else e.label)
-            code = face_codes[e].translate(table[u.word])
+                label = word_times_face(words[u], None if e is lattice.one else e.label)
             first_row[root] = len(rows)
-            rows.append(ClassRow(offset + root, e.label, orbit_size * face_count, code, label))
+            rows.append(ClassRow(offset + root, e.label, orbit_size * face_count,
+                                 e_code.translate(tables[u]), label))
         if kind != "sim":
-            row_at[e] = {face_codes[e].translate(table[v.word]): first_row[root]
-                         for v, root in zip(coset_min, roots)}
+            row_at[e.index] = {e_code.translate(tables[v]): first_row[root]
+                               for v, root in zip(coset_min, roots)}
         offset += lattice.stratum_size(e)
     if kind == "sim":
         return tuple(rows)
 
-    at_face = _faces_by_domain(on_weight, face_codes, row_at)
+    # Every face, by its mask: t restricted to F_f, the table of t^-1 and
+    # the sim rows of f, for its idempotent f and its transporter t.
+    at_face = {mask: (face.map, face.inverse, row_at[face.owner.index])
+               for mask, face in layout.faces.items()}
     domain_of = bytes([1]) * n + bytes(256 - n)  # a code's defined points
 
     def sim_of(z: bytes, face: bytes) -> int:
-        """The sim row of z, conjugated by the unit at ``face``, z's domain
-        or a face inside it."""
+        """The sim row of z, conjugated by the transporter of ``face``,
+        z's domain or a face inside it."""
         t, t_inv, rows_at_f = at_face[face]
         return rows_at_f[t.translate(z + pad).translate(t_inv)]
 
@@ -393,9 +360,9 @@ def lattice_class_rows(lattice: CrossSectionLattice, kind: str) -> tuple[ClassRo
         # with its face's points as an integer mask, a byte per point.
         every = bytes(range(n + 1))
         idempotents = []
-        for mask, (t, t_inv, _) in at_face.items():
+        for mask, face in layout.faces.items():
             if 0 < mask.count(1) < n:
-                e_code = t_inv[: n + 1].translate(t + pad)  # t e_F t^-1, the identity on t F
+                e_code = face.identity  # t e_F t^-1, the identity on t F
                 idempotents.append((int.from_bytes(mask, "little"), e_code, e_code + pad))
         # bytes.maketrans(y, hit) sends the values of y, its image and the
         # undefined n, to 255, which no point is, and every other point to
@@ -436,49 +403,6 @@ def lattice_class_rows(lattice: CrossSectionLattice, kind: str) -> tuple[ClassRo
     if kind == "munn":
         return tuple(merged.values())
     return tuple(replace(row, stratum=None) for row in merged.values())
-
-
-def _faces_by_domain(
-    on_weight: WeylGroup,
-    face_codes: dict[CrossIdempotent, bytes],
-    row_at: dict[CrossIdempotent, dict[bytes, int]],
-) -> dict[bytes, tuple[bytes, bytes, dict[bytes, int]]]:
-    """Every face of the weight orbit, keyed by its points as a 0/1 mask
-    (a code translated by 1 on defined points, 0 on the undefined one): the
-    code of t restricted to F_f, the table of t^-1, and ``row_at[f]``, for
-    the idempotent f whose face orbit holds it and a unit t carrying F_f
-    onto it.
-
-    Each orbit is a breadth-first search from F_f by the simple
-    reflections, each its own inverse, so s moves a face's mask by one
-    translation and t to s t by another.
-    """
-    n = on_weight.degree
-    pad = bytes(MAX_DEGREE - n)
-    every = bytes(range(n + 1))
-    domain_of = bytes([1]) * n + bytes(256 - n)
-    codes = [bytes(g.perm) + bytes([n]) for g in on_weight.generators]
-    moves = [(code, code + pad) for code in codes]
-    at_face: dict[bytes, tuple[bytes, bytes, dict[bytes, int]]] = {}
-    for f, base in face_codes.items():
-        rows_at_f = row_at[f]
-        start = base.translate(domain_of)
-        if start in at_face:
-            raise ConstructionError("face orbits of distinct idempotents overlap")
-        at_face[start] = base, bytes(range(256)), rows_at_f
-        orbit = [(start, every)]
-        for mask, t in orbit:  # grows while we iterate
-            mask_table = mask + pad
-            for s_code, s_table in moves:
-                moved = s_code.translate(mask_table)
-                if moved in at_face:
-                    if at_face[moved][2] is not rows_at_f:
-                        raise ConstructionError("face orbits of distinct idempotents overlap")
-                    continue
-                st = t.translate(s_table)
-                at_face[moved] = base.translate(st + pad), bytes.maketrans(st, every), rows_at_f
-                orbit.append((moved, st))
-    return at_face
 
 
 def semigroup_conjugacy_classes(monoid: RennerMonoid) -> ConjClassification:

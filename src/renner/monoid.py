@@ -3,8 +3,12 @@ weight orbit.
 
 By the Renner decomposition R is the disjoint union of the strata W e W
 over the cross-section lattice, and u*e*v is the unit uv restricted to the
-face v^{-1}(F_e); the monoid is built by enumerating these restrictions,
-and its export is written from the same enumeration without building it.
+face v^{-1}(F_e).  ``face_layout`` is the one reading of the weight orbit:
+it realizes W there and walks every face orbit once, recording each face's
+idempotent and transporter.  The monoid is built by enumerating the
+restrictions face by face, its export is written from the same enumeration
+without building it, and the lattice route of ``classes`` reads the same
+faces.
 Every nonzero element factors as (partial identity on its range) * unit *
 (partial identity on its domain); the shortest, lex-least unit restricting
 to it makes that normal form canonical.
@@ -14,13 +18,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .crosslat import CrossIdempotent, CrossSectionLattice, build_lattice
 from .errors import ConstructionError, NotInOrbit, SizeCapExceeded, ZeroElement
 from .partialinj import MAX_DEGREE, PartialInjection, compose, inverse, stable_domain
-from .rootsys import DEFAULT_MAX_GROUP_ORDER, CartanMatrix, Weight, WeylElement, WeylGroup
+from .rootsys import DEFAULT_MAX_GROUP_ORDER, CartanMatrix, Weight, WeylElement
 from .rootsys import bfs_orbit, generate_weyl
 
 DEFAULT_MAX_MONOID_ORDER = 250_000
@@ -56,32 +59,41 @@ class RennerMonoid:
     and the units last, in ``group.elements`` order.  Each stratum is one
     contiguous index range, ordered by domain face in face-orbit order, then
     by canonical unit in (length, word) order.  ``canonical_units`` is
-    aligned with ``elements``, ``index_by_code`` maps each element's byte
-    code to its index, and ``transporters`` maps every face to the
-    shortest unit carrying its lattice face onto it.  Everything is fixed at
-    construction, so instances are safe to share.
+    aligned with ``elements``, and ``index_by_code`` maps each element's byte
+    code to its index.  ``layout`` is the face layout the build read;
+    ``face_orbits`` lists each idempotent's face orbit from it, as point
+    sets, and ``transporters`` maps every face to the transporter the walk
+    found for it, the shortest unit carrying its lattice face onto it.
+    Everything is fixed at construction, so instances are safe to share.
     """
 
     def __init__(
         self,
         lattice: CrossSectionLattice,
-        vertices: tuple[Weight, ...],
+        layout: FaceLayout,
         elements: tuple[PartialInjection, ...],
         canonical_units: tuple[WeylElement, ...],
-        face_orbits: dict[int, tuple[frozenset[int], ...]],
         strata: dict[int, tuple[int, ...]],
-        transporters: dict[frozenset[int], FaceTransporter],
     ):
         group = lattice.group
         self.group = group
         self.lattice = lattice
-        self.vertices = vertices
+        self.layout = layout
+        self.vertices = layout.vertices
         self.elements = elements
         self.canonical_units = canonical_units
-        self.face_orbits = face_orbits
-        self.face_to_idem = {f: e for e in lattice for f in face_orbits[e.index]}
         self.strata = strata
-        self.transporters = transporters
+        orbits: dict[int, list[frozenset[int]]] = {e.index: [] for e in lattice.idempotents}
+        self.face_to_idem: dict[frozenset[int], CrossIdempotent] = {}
+        self.transporters: dict[frozenset[int], FaceTransporter] = {}
+        for face in layout.faces.values():
+            t = PartialInjection._trusted(face.map)
+            target = t.image
+            orbits[face.owner.index].append(target)
+            self.face_to_idem[target] = face.owner
+            unit = group.elements[face.unit]
+            self.transporters[target] = FaceTransporter(target, t.domain, unit, t)
+        self.face_orbits = {i: tuple(orbit) for i, orbit in orbits.items()}
         self.index_by_code = {p.code: i for i, p in enumerate(elements)}
         self.units = tuple(elements[i] for i in strata[lattice.one.index])
         self._unit_by_perm = {w.perm: u for w, u in zip(group.elements, self.units)}
@@ -137,63 +149,41 @@ def check_monoid_cap(lattice: CrossSectionLattice, max_monoid_order: int) -> Non
         )
 
 
-def realize_on_weight(
-    lattice: CrossSectionLattice,
-) -> tuple[WeylGroup, dict[CrossIdempotent, frozenset[int]]]:
-    """The lattice's Weyl group realized again on the orbit of the weight,
-    and the face of each idempotent there (empty for the zero).
+class Face(NamedTuple):
+    """A face of the weight orbit as ``face_layout``'s walk reaches it:
+    ``owner``, the lattice idempotent f whose face orbit holds it, and its
+    transporter t, the shortest unit carrying F_f onto it, given by t's
+    position in (length, word) order (its table is ``unit_tables[unit]``),
+    the code of t restricted to F_f and the table of t^-1.  F_f itself has
+    the identity, position 0."""
 
-    Element i of the realization is element i of the lattice's group: both
-    are in (length, lex-least word) order, which is checked.  Each face is
-    the orbit of the weight (vertex 0) under the lambda_star generators.  A
-    weight orbit past ``MAX_DEGREE`` points, which no byte code holds, is
-    refused as soon as it is generated; face inclusion must be the lattice
-    order, and the top face must be the whole orbit.
-    """
-    group = lattice.group
-    # The orbit has at most |W| points, and |W| passed the group cap.
-    on_weight = generate_weyl(group.cartan, lattice.weight_spec.mu, max_order=group.order)
-    degree = on_weight.degree
-    if degree > MAX_DEGREE:
-        raise SizeCapExceeded(f"weight orbit of degree {degree} exceeds {MAX_DEGREE} points")
-    if [w.word for w in on_weight.elements] != [w.word for w in group.elements]:
-        raise ConstructionError("the weight orbit lists the Weyl group in another order")
+    owner: CrossIdempotent
+    unit: int
+    map: bytes
+    inverse: bytes
 
-    def seed_orbit(indices: frozenset[int]) -> frozenset[int]:
-        moves = [on_weight.generators[j].perm.__getitem__ for j in indices]
-        return frozenset(bfs_orbit(0, moves))
-
-    faces = {e: seed_orbit(e.lambda_star) for e in lattice.nonzero}
-    for e, face in faces.items():
-        # The lambda_sub generators fix the weight, so the lambda orbit must
-        # collapse to the lambda_star orbit.
-        if seed_orbit(e.lambda_set) != face:
-            raise ConstructionError(f"face of {e.label} moves under its stabilizer")
-        for f, other in faces.items():
-            if (e.lambda_star <= f.lambda_star) != (face <= other):
-                raise ConstructionError(
-                    "lattice order mismatch between lambda_star and face inclusion"
-                )
-    if faces[lattice.one] != frozenset(range(degree)):
-        raise ConstructionError("top idempotent face is not the whole vertex set")
-    faces[lattice.zero] = frozenset()
-    return on_weight, faces
+    @property
+    def identity(self) -> bytes:
+        """The code of the partial identity on the face: t|F_f after t^-1."""
+        pad = bytes(MAX_DEGREE + 1 - len(self.map))
+        return self.inverse[: len(self.map)].translate(self.map + pad)
 
 
 @dataclass(frozen=True)
 class FaceLayout:
-    """The faces and unit tables the build and the export read off the
-    weight orbit, checked before any element is made.
+    """The faces and unit tables the build, the export and ``classes`` read
+    off the weight orbit, checked before any element is made.
 
-    ``face_orbits`` maps each idempotent's index to the orbit of its face
-    under W, in BFS order from the face itself (lattice order over the
-    idempotents, the zero first); ``unit_tables`` holds each unit's
-    256-byte translation table, in (length, word) order.
+    ``unit_tables`` holds each unit's 256-byte translation table by its
+    position in (length, word) order.  ``faces`` maps every face, as a 0/1
+    mask of n + 1 bytes (1 on its points), to its ``Face``, in walk order:
+    the idempotents in lattice order, the zero first, each face orbit in
+    BFS order from the idempotent's own face.
     """
 
     vertices: tuple[Weight, ...]
-    face_orbits: dict[int, tuple[frozenset[int], ...]]
     unit_tables: tuple[bytes, ...]
+    faces: dict[bytes, Face]
 
     @property
     def degree(self) -> int:
@@ -201,46 +191,92 @@ class FaceLayout:
 
 
 def face_layout(lattice: CrossSectionLattice) -> FaceLayout:
-    """Realize the lattice on the weight orbit (``realize_on_weight``), take
+    """Realize the lattice's Weyl group on the orbit of the weight, walk
     each idempotent's face orbit, and check the layout of R against the
-    closed form before any element is made.
+    lattice before any element is made.
 
-    The face orbits of distinct idempotents must be disjoint.  Each stratum
-    W e W is the set of units restricted to the faces of the orbit of F_e,
-    so its size is len(orbit) times the number of distinct restrictions of
-    W to one face of it.  That number is the same on every face: a face of
-    the orbit is t(F_e) for a unit t, so its pointwise fixer is t Fix(F_e)
-    t^-1, of the same order, and W restricts to |W| / |Fix| maps on it.  So
-    len(orbit) times the restrictions to F_e alone must equal
+    Element i of the realization is element i of the lattice's group: both
+    are in (length, lex-least word) order, which is checked.  A weight orbit
+    past ``MAX_DEGREE`` points, which no byte code holds, is refused as soon
+    as it is generated.  Each idempotent's face is the orbit of the weight
+    (vertex 0) under its lambda_star generators, which its lambda_sub
+    generators must not move; face inclusion must be the lattice order, and
+    the top face must be the whole orbit.
+
+    Each face orbit is a breadth-first walk from F_e by the simple
+    reflections: s moves a face's mask by one translation, and carries the
+    transporter at position k to ``left[s][k]``.  The face orbits of
+    distinct idempotents must be disjoint.  Each stratum W e W is the set of
+    units restricted to the faces of the orbit of F_e, so its size is
+    len(orbit) times the number of distinct restrictions of W to one face
+    of it.  That number is the same on every face: a face of the orbit is
+    t(F_e) for a unit t, so its pointwise fixer is t Fix(F_e) t^-1, of the
+    same order, and W restricts to |W| / |Fix| maps on it.  So len(orbit)
+    times the restrictions to F_e alone must equal
     ``lattice.stratum_size(e)``, and then the per-face scan of
-    ``build_renner`` and ``iter_export`` makes exactly that many elements.
-    The top stratum's closed-form size is |W|, so this also pins the units.
+    ``build_renner`` and the export makes exactly that many elements.  The
+    top stratum's closed-form size is |W|, so this also pins the units.
     """
-    on_weight, faces = realize_on_weight(lattice)
-    degree = on_weight.degree
-    tail = bytes([degree]) + bytes(MAX_DEGREE - degree)
-    unit_tables = tuple(bytes(u.perm) + tail for u in on_weight.elements)
-    face_moves = [partial(_move_face, g.perm) for g in on_weight.generators]
-    seen_faces: set[frozenset[int]] = set()
-    face_orbits: dict[int, tuple[frozenset[int], ...]] = {}
+    group = lattice.group
+    # The orbit has at most |W| points, and |W| passed the group cap.
+    on_weight = generate_weyl(group.cartan, lattice.weight_spec.mu, max_order=group.order)
+    n = on_weight.degree
+    if n > MAX_DEGREE:
+        raise SizeCapExceeded(f"weight orbit of degree {n} exceeds {MAX_DEGREE} points")
+    if [w.word for w in on_weight.elements] != [w.word for w in group.elements]:
+        raise ConstructionError("the weight orbit lists the Weyl group in another order")
+    pad = bytes(MAX_DEGREE - n)
+    unit_tables = tuple(bytes(u.perm) + bytes([n]) + pad for u in on_weight.elements)
+
+    def seed_face(indices: frozenset[int]) -> frozenset[int]:
+        moves = [on_weight.generators[j].perm.__getitem__ for j in indices]
+        return frozenset(bfs_orbit(0, moves))
+
+    seeds = {e: seed_face(e.lambda_star) for e in lattice.nonzero}
+    for e, face in seeds.items():
+        # The lambda_sub generators fix the weight, so the lambda orbit must
+        # collapse to the lambda_star orbit.
+        if seed_face(e.lambda_set) != face:
+            raise ConstructionError(f"face of {e.label} moves under its stabilizer")
+        for f, other in seeds.items():
+            if (e.lambda_star <= f.lambda_star) != (face <= other):
+                raise ConstructionError(
+                    "lattice order mismatch between lambda_star and face inclusion"
+                )
+    if len(seeds[lattice.one]) != n:
+        raise ConstructionError("top idempotent face is not the whole vertex set")
+    seeds[lattice.zero] = frozenset()
+
+    left = group.left
+    every = bytes(range(n + 1))
+    domain_of = bytes([1]) * n + bytes(MAX_DEGREE + 1 - n)  # a code's defined points
+    moves = [(j, bytes(g.perm) + bytes([n])) for j, g in enumerate(on_weight.generators)]
+    faces: dict[bytes, Face] = {}
     for e in lattice.idempotents:
-        orbit = bfs_orbit(faces[e], face_moves)
-        if not seen_faces.isdisjoint(orbit):
+        identity = bytearray([n]) * (n + 1)
+        for i in seeds[e]:
+            identity[i] = i
+        code = bytes(identity)  # the identity on F_e
+        base = code.translate(domain_of)
+        if base in faces:
+            # W-orbits are equal or disjoint, and each earlier walk took its
+            # whole orbit: so the orbits meet exactly when F_e is taken.
             raise ConstructionError("face orbits of distinct idempotents overlap")
-        seen_faces.update(orbit)
-        size = len(orbit) * len(_restrictions(_face_code(faces[e], degree), unit_tables))
-        if size != lattice.stratum_size(e):
+        faces[base] = Face(e, 0, code, bytes(range(MAX_DEGREE + 1)))
+        orbit = [(base, 0)]  # each face's mask and its transporter's position
+        for mask, k in orbit:  # grows while we iterate
+            mask_table = mask + pad
+            for j, s in moves:
+                moved = s.translate(mask_table)
+                if moved not in faces:
+                    t = left[j][k]
+                    table = unit_tables[t]
+                    t_inv = bytes.maketrans(table[: n + 1], every)
+                    faces[moved] = Face(e, t, code.translate(table), t_inv)
+                    orbit.append((moved, t))
+        if len(orbit) * len(set(map(code.translate, unit_tables))) != lattice.stratum_size(e):
             raise ConstructionError(f"stratum {e.label} differs from its closed-form size")
-        face_orbits[e.index] = orbit
-    return FaceLayout(on_weight.vertex_orbit, face_orbits, unit_tables)
-
-
-def _face_code(face: frozenset[int], degree: int) -> bytes:
-    """The byte code of the partial identity on ``face``."""
-    code = bytearray([degree]) * (degree + 1)
-    for i in face:
-        code[i] = i
-    return bytes(code)
+    return FaceLayout(on_weight.vertex_orbit, unit_tables, faces)
 
 
 def _restrictions(face_code: bytes, unit_tables: Sequence[bytes]) -> dict[bytes, int]:
@@ -254,15 +290,12 @@ def _restrictions(face_code: bytes, unit_tables: Sequence[bytes]) -> dict[bytes,
     return made
 
 
-def _scan(
-    lattice: CrossSectionLattice, layout: FaceLayout
-) -> Iterator[tuple[CrossIdempotent, frozenset[int], dict[bytes, int]]]:
-    """Each face with its restrictions, in the order of R's elements:
-    idempotents in lattice order, each face orbit in BFS order, and on each
-    face the restrictions in (length, word) order of their first unit."""
-    for e in lattice.idempotents:
-        for face in layout.face_orbits[e.index]:
-            yield e, face, _restrictions(_face_code(face, layout.degree), layout.unit_tables)
+def _scan(layout: FaceLayout) -> Iterator[tuple[Face, dict[bytes, int]]]:
+    """Each face with its restrictions, in the order of R's elements: the
+    faces in walk order, and on each face the restrictions in (length,
+    word) order of their first unit."""
+    for face in layout.faces.values():
+        yield face, _restrictions(face.identity, layout.unit_tables)
 
 
 def build_renner(
@@ -275,15 +308,14 @@ def build_renner(
     """Build the Renner monoid of the J-irreducible monoid with highest
     weight ``mu`` over the given Cartan type.
 
-    The Weyl group, the faces and their orbits come from ``face_layout``,
-    which checks them against the closed-form stratum sizes.  Each stratum
-    W e W is enumerated as the units restricted to the faces of the orbit
-    of e's face (the empty face giving the zero map), in the order of
-    ``_scan``.  The first unit to give a map is its canonical unit; on e's
-    own face, the first unit carrying it onto a face is that face's
-    transporter.  The cap is checked against the closed-form order before
-    the weight orbit is generated, and every stratum must have its
-    closed-form size.
+    The Weyl group, the faces and their transporters come from
+    ``face_layout``, which checks them against the closed-form stratum
+    sizes.  Each stratum W e W is enumerated as the units restricted to the
+    faces of the orbit of e's face (the empty face giving the zero map), in
+    the order of ``_scan``; the first unit to give a map is its canonical
+    unit.  The cap is checked against the closed-form order before the
+    weight orbit is generated, and every stratum must have its closed-form
+    size.
     """
     lattice = build_lattice(cartan, mu, max_group_order=max_group_order)
     check_monoid_cap(lattice, max_monoid_order)
@@ -293,18 +325,12 @@ def build_renner(
     elements: list[PartialInjection] = []
     canonical_units: list[WeylElement] = []
     strata: dict[int, tuple[int, ...]] = {}
-    transporters: dict[frozenset[int], FaceTransporter] = {}
     stops: dict[int, int] = {}
-    for e, face, made in _scan(lattice, layout):
-        base = face == layout.face_orbits[e.index][0]
+    for face, made in _scan(layout):
         for code, k in made.items():
-            sigma = PartialInjection._trusted(code)
-            elements.append(sigma)
+            elements.append(PartialInjection._trusted(code))
             canonical_units.append(units[k])
-            # The first unit with a given image of e's face makes a new map.
-            if base and (image := sigma.image) not in transporters:
-                transporters[image] = FaceTransporter(image, face, units[k], sigma)
-        stops[e.index] = len(elements)
+        stops[face.owner.index] = len(elements)
     start = 0
     for e in lattice.idempotents:
         strata[e.index] = tuple(range(start, stops[e.index]))
@@ -312,14 +338,7 @@ def build_renner(
         if len(strata[e.index]) != lattice.stratum_size(e):
             raise ConstructionError(f"stratum {e.label} differs from its closed-form size")
 
-    return RennerMonoid(
-        lattice, layout.vertices, tuple(elements), tuple(canonical_units),
-        layout.face_orbits, strata, transporters,
-    )
-
-
-def _move_face(perm: tuple[int, ...], face: frozenset[int]) -> frozenset[int]:
-    return frozenset(perm[i] for i in face)
+    return RennerMonoid(lattice, layout, tuple(elements), tuple(canonical_units), strata)
 
 
 def normal_form(monoid: RennerMonoid, sigma: PartialInjection) -> NormalForm:
@@ -424,23 +443,15 @@ def iter_export(lattice: CrossSectionLattice) -> Iterator[str]:
     ``json.dumps(doc, indent=2, sort_keys=True)`` writes that document.
 
     ``face_layout`` runs before the first piece, so a failed check writes
-    nothing.  The elements follow, one piece per face, in the order of
-    ``_scan``, written from their byte codes: no element object is made
-    and no piece is kept.
+    nothing; ``_export_pieces`` writes the rest from it.
     """
-    layout = face_layout(lattice)
-    yield from _export_pieces(
-        lattice, layout, ((face, made) for _, face, made in _scan(lattice, layout))
-    )
+    yield from _export_pieces(lattice, face_layout(lattice))
 
 
-def _export_pieces(
-    lattice: CrossSectionLattice,
-    layout: FaceLayout,
-    faces: Iterable[tuple[frozenset[int], Iterable[bytes]]],
-) -> Iterator[str]:
-    """The export text, one piece per face of ``faces`` (each face with
-    the codes of its elements, in R's order), then a closing piece.
+def _export_pieces(lattice: CrossSectionLattice, layout: FaceLayout) -> Iterator[str]:
+    """The export text, one piece per face, in the order of ``_scan``, then
+    a closing piece.  The elements are written from their byte codes: no
+    element object is made and no piece is kept.
 
     On a fixed face each element is written from the rows of the face's
     sources, indexed by the code's targets.  The generators (the simple
@@ -452,10 +463,12 @@ def _export_pieces(
     rows = [[f"[\n        {i},\n        {t}\n      ]" for t in range(n)] for i in range(n)]
     undefined = bytes([n])
 
-    def written(face: frozenset[int], codes: Iterable[bytes]) -> str:
-        if not face:
+    def written(sources: bytes, codes: Iterable[bytes]) -> str:
+        """The elements ``codes``, each defined on the points ``sources``
+        (ascending)."""
+        if not sources:
             return ",\n    ".join("[]" for _ in codes)
-        picked = [rows[i] for i in sorted(face)]
+        picked = [rows[i] for i in sources]
         # ``_json_block(..., 4)`` written out: a call per element costs a
         # quarter of the text's time.  Deleting the undefined bytes leaves
         # the targets in source order.
@@ -466,16 +479,20 @@ def _export_pieces(
         ])
 
     separator = '{\n  "elements": [\n    '
-    for face, codes in faces:
-        yield separator + written(face, codes)
+    for face, made in _scan(layout):
+        # Deleting the undefined bytes from a partial identity leaves its
+        # points in order.
+        yield separator + written(face.identity.translate(None, undefined), made)
         separator = ",\n    "
 
-    everything = frozenset(range(n))
     # The units of the simple reflections (units 1..rank in (length, word)
-    # order), then each idempotent; drops repeats, keeps first-seen order.
+    # order), then each idempotent on its own face, the one whose
+    # transporter is the identity; drops repeats, keeps first-seen order.
+    everything = bytes(range(n))
     generators = dict.fromkeys(
         [(everything, table[: n + 1]) for table in layout.unit_tables[1 : lattice.cartan.rank + 1]]
-        + [(orbit[0], _face_code(orbit[0], n)) for orbit in layout.face_orbits.values()]
+        + [(face.map.translate(None, undefined), face.map)
+           for face in layout.faces.values() if face.unit == 0]
     )
     strata, start = {}, 0
     for e in lattice.idempotents:
@@ -483,7 +500,7 @@ def _export_pieces(
         strata[e.label] = range(start, start + size)
         start += size
     yield "".join([
-        '\n  ],\n  "generators": ', _json_block((written(f, [c]) for f, c in generators), 2),
+        '\n  ],\n  "generators": ', _json_block((written(s, [c]) for s, c in generators), 2),
         ',\n  "strata": ', _json_block(
             (f"{json.dumps(k)}: {_json_block(map(str, strata[k]), 4)}" for k in sorted(strata)),
             2, "{}",
@@ -495,22 +512,8 @@ def _export_pieces(
 
 def monoid_to_json(monoid: RennerMonoid) -> str:
     """The export text of ``monoid``, as ``iter_export`` writes it for its
-    lattice, read off its own faces and element codes rather than scanned
-    again.  Every face of a stratum's orbit carries the same number of
-    elements (see ``face_layout``), so each face's are one even slice of
-    the stratum."""
-    layout = FaceLayout(monoid.vertices, monoid.face_orbits, tuple(u.table for u in monoid.units))
-    elements = monoid.elements
-
-    def faces() -> Iterator[tuple[frozenset[int], Iterator[bytes]]]:
-        for e in monoid.lattice.idempotents:
-            orbit = monoid.face_orbits[e.index]
-            stratum = monoid.strata[e.index]
-            step = len(stratum) // len(orbit)
-            for k, face in enumerate(orbit):
-                yield face, (elements[i].code for i in stratum[k * step : (k + 1) * step])
-
-    return "".join(_export_pieces(monoid.lattice, layout, faces()))
+    lattice, from the face layout the build kept."""
+    return "".join(_export_pieces(monoid.lattice, monoid.layout))
 
 
 def _json_block(items: Iterable[str], indent: int, brackets: str = "[]") -> str:

@@ -9,12 +9,14 @@ from oracles import all_partial_injections, partition_count
 from renner import (
     PartialInjection,
     action_conjugacy_classes,
+    classification_rows,
     compose,
     count_sim_classes,
     face_transporter,
     inverse,
     invertible_part,
     irreducible_rep_count,
+    lattice_class_rows,
     munn_classes,
     munn_count_rook,
     normal_form,
@@ -123,11 +125,11 @@ def test_criterion_7_oracle_equivalence(acceptance_monoids):
         act = action_conjugacy_classes(R).partition()
         if not (munn == semi == act):
             failures.append(f"{name}: munn/semigroup/action partitions differ")
-        sim = sim_conjugacy_classes(R).partition()
-        brute = sim_classes_bruteforce(R).partition()
+        sim = lattice_class_rows(R.lattice, "sim")
+        brute = classification_rows(R, sim_classes_bruteforce(R))
         if sim != brute:
             failures.append(f"{name}: structured sim differs from brute force")
-    _report("criterion 7: munn=semigroup=action and sim=bruteforce partitions", failures)
+    _report("criterion 7: munn=semigroup=action and sim=bruteforce classes", failures)
 
 
 def _check_inverse_axioms(name, R, failures):

@@ -397,6 +397,26 @@ def test_build_writes_nothing_when_a_check_fails(capsys, monkeypatch):
         assert err == "error: stratum e_1 differs from its closed-form size\n", fmt
 
 
+def test_classes_writes_nothing_when_a_check_fails(capsys, monkeypatch):
+    # classes reads the same checked face layout as build: a closed-form
+    # size off by one for a single idempotent is exit 2 with empty stdout,
+    # for every kind in every format.
+    original = CrossSectionLattice.stratum_size
+
+    def off_by_one(self, e):
+        return original(self, e) + (e.label == "e_1")
+
+    monkeypatch.setattr(CrossSectionLattice, "stratum_size", off_by_one)
+    for kind in ("sim", "munn", "semigroup", "action"):
+        for fmt in ("json", "table", "csv"):
+            code, out, err = run(
+                capsys, "classes", "--type", "B3", "--weight", "1,1,1", "--kind", kind,
+                "--format", fmt,
+            )
+            assert code == 2 and out == "", (kind, fmt)
+            assert err == "error: stratum e_1 differs from its closed-form size\n", (kind, fmt)
+
+
 def test_classes_table_blocks(capsys):
     code, out, _ = run(
         capsys, "classes", "--type", "A2", "--weight", "1,0", "--kind", "sim"
