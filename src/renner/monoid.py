@@ -4,11 +4,11 @@ weight orbit.
 By the Renner decomposition R is the disjoint union of the strata W e W
 over the cross-section lattice, and u*e*v is the unit uv restricted to the
 face v^{-1}(F_e).  ``face_layout`` is the one reading of the weight orbit:
-it realizes W there and walks every face orbit once, recording each face's
-idempotent and transporter.  The monoid is built by enumerating the
-restrictions face by face, its export is written from the same enumeration
-without building it, and the lattice route of ``classes`` reads the same
-faces.
+it carries W there along the group's BFS steps and walks every face orbit
+once, recording each face's idempotent and transporter.  The monoid is
+built by enumerating the restrictions face by face, its export is written
+from the same enumeration without building it, and the lattice route of
+``classes`` reads the same faces.
 Every nonzero element factors as (partial identity on its range) * unit *
 (partial identity on its domain); the shortest, lex-least unit restricting
 to it makes that normal form canonical.
@@ -24,7 +24,7 @@ from .crosslat import CrossIdempotent, CrossSectionLattice, build_lattice
 from .errors import ConstructionError, NotInOrbit, SizeCapExceeded, ZeroElement
 from .partialinj import MAX_DEGREE, PartialInjection, compose, inverse, stable_domain
 from .rootsys import DEFAULT_MAX_GROUP_ORDER, CartanMatrix, Weight, WeylElement
-from .rootsys import bfs_orbit, generate_weyl
+from .rootsys import bfs_orbit, reflection_perms, weight_orbit
 
 DEFAULT_MAX_MONOID_ORDER = 250_000
 
@@ -195,10 +195,10 @@ def face_layout(lattice: CrossSectionLattice) -> FaceLayout:
     each idempotent's face orbit, and check the layout of R against the
     lattice before any element is made.
 
-    Element i of the realization is element i of the lattice's group: both
-    are in (length, lex-least word) order, which is checked.  A weight orbit
-    past ``MAX_DEGREE`` points, which no byte code holds, is refused as soon
-    as it is generated.  Each idempotent's face is the orbit of the weight
+    A weight orbit past ``MAX_DEGREE`` points, which no byte code holds, is
+    refused as soon as it is generated.  Unit table k, that of the group's
+    element k = w_p s_j for its step (p, j), is s_j's code translated by
+    table p.  Each idempotent's face is the orbit of the weight
     (vertex 0) under its lambda_star generators, which its lambda_sub
     generators must not move; face inclusion must be the lattice order, and
     the top face must be the whole orbit.
@@ -219,17 +219,20 @@ def face_layout(lattice: CrossSectionLattice) -> FaceLayout:
     """
     group = lattice.group
     # The orbit has at most |W| points, and |W| passed the group cap.
-    on_weight = generate_weyl(group.cartan, lattice.weight_spec.mu, max_order=group.order)
-    n = on_weight.degree
+    vertices = weight_orbit(group.cartan, lattice.weight_spec.mu, max_size=group.order)
+    n = len(vertices)
     if n > MAX_DEGREE:
         raise SizeCapExceeded(f"weight orbit of degree {n} exceeds {MAX_DEGREE} points")
-    if [w.word for w in on_weight.elements] != [w.word for w in group.elements]:
-        raise ConstructionError("the weight orbit lists the Weyl group in another order")
     pad = bytes(MAX_DEGREE - n)
-    unit_tables = tuple(bytes(u.perm) + bytes([n]) + pad for u in on_weight.elements)
+    every = bytes(range(n + 1))
+    # Each simple reflection's code; translating it by w's table gives w s_j.
+    gen_codes = [bytes(g) + bytes([n]) for g in reflection_perms(group.cartan, vertices)]
+    unit_tables = [every + pad]
+    for p, j in group.steps:
+        unit_tables.append(gen_codes[j].translate(unit_tables[p]) + pad)
 
     def seed_face(indices: frozenset[int]) -> frozenset[int]:
-        moves = [on_weight.generators[j].perm.__getitem__ for j in indices]
+        moves = [gen_codes[j].__getitem__ for j in indices]
         return frozenset(bfs_orbit(0, moves))
 
     seeds = {e: seed_face(e.lambda_star) for e in lattice.nonzero}
@@ -248,9 +251,7 @@ def face_layout(lattice: CrossSectionLattice) -> FaceLayout:
     seeds[lattice.zero] = frozenset()
 
     left = group.left
-    every = bytes(range(n + 1))
     domain_of = bytes([1]) * n + bytes(MAX_DEGREE + 1 - n)  # a code's defined points
-    moves = [(j, bytes(g.perm) + bytes([n])) for j, g in enumerate(on_weight.generators)]
     faces: dict[bytes, Face] = {}
     for e in lattice.idempotents:
         identity = bytearray([n]) * (n + 1)
@@ -266,7 +267,7 @@ def face_layout(lattice: CrossSectionLattice) -> FaceLayout:
         orbit = [(base, 0)]  # each face's mask and its transporter's position
         for mask, k in orbit:  # grows while we iterate
             mask_table = mask + pad
-            for j, s in moves:
+            for j, s in enumerate(gen_codes):
                 moved = s.translate(mask_table)
                 if moved not in faces:
                     t = left[j][k]
@@ -276,7 +277,7 @@ def face_layout(lattice: CrossSectionLattice) -> FaceLayout:
                     orbit.append((moved, t))
         if len(orbit) * len(set(map(code.translate, unit_tables))) != lattice.stratum_size(e):
             raise ConstructionError(f"stratum {e.label} differs from its closed-form size")
-    return FaceLayout(on_weight.vertex_orbit, unit_tables, faces)
+    return FaceLayout(vertices, tuple(unit_tables), faces)
 
 
 def _restrictions(face_code: bytes, unit_tables: Sequence[bytes]) -> dict[bytes, int]:

@@ -196,6 +196,17 @@ def weight_orbit(
     return bfs_orbit(start, moves, max_size=max_size, what="weight orbit")
 
 
+def reflection_perms(cartan: CartanMatrix, orbit: Sequence[Weight]) -> list[tuple[int, ...]]:
+    """Each simple reflection s_i as a permutation of a W-stable ``orbit``:
+    entry x is the position of s_i(orbit[x]).
+
+    >>> reflection_perms(cartan_matrix("A", 2), weight_orbit(cartan_matrix("A", 2), (1, 0)))
+    [(1, 0, 2), (0, 2, 1)]
+    """
+    vertex = {v: k for k, v in enumerate(orbit)}
+    return [tuple(vertex[reflect(cartan, i, v)] for v in orbit) for i in range(cartan.rank)]
+
+
 @dataclass(frozen=True)
 class WeylElement:
     """A group element: permutation of the vertex orbit, Coxeter length, and
@@ -216,9 +227,10 @@ class WeylGroup:
     sorting by (length, lex-least reduced word); an element's position there
     names it in the index tables.  ``right[i][k]`` is the position of
     w_k s_i and ``left[i][k]`` that of s_i w_k, so products with simple
-    reflections are list lookups.  Other products are resolved through the
-    one permutation index the BFS built, so every product is one of the
-    stored canonical elements.
+    reflections are list lookups.  ``steps[k - 1]`` is the BFS tree edge
+    (p, j) to element k > 0: w_k = w_p s_j with p < k.  Other products are
+    resolved through the one permutation index the BFS built, so every
+    product is one of the stored canonical elements.
 
     ``left`` is derived on first use, once, under the group's lock;
     everything else is fixed at construction.
@@ -231,7 +243,7 @@ class WeylGroup:
         elements: tuple[WeylElement, ...],
         index: dict[tuple[int, ...], int],
         right: tuple[tuple[int, ...], ...],
-        parents: tuple[int, ...],
+        steps: tuple[tuple[int, int], ...],
     ):
         self.cartan = cartan
         self.vertex_orbit = vertex_orbit
@@ -239,8 +251,8 @@ class WeylGroup:
         self.right = right
         self.generators = tuple(elements[row[0]] for row in right)
         self.identity = elements[0]
+        self.steps = steps
         self._index = index
-        self._parents = parents
         self._left: Optional[tuple[tuple[int, ...], ...]] = None
         self._lock = threading.Lock()
 
@@ -272,9 +284,8 @@ class WeylGroup:
     @property
     def left(self) -> tuple[tuple[int, ...], ...]:
         """``left[i][k]``: the position of s_i w_k.  Element k > 0 is
-        w_p s_j for its BFS parent p and the last letter j of its word, and
-        s_i (w_p s_j) = (s_i w_p) s_j, so each entry is one ``right`` lookup
-        on an entry made before it."""
+        w_p s_j for its step (p, j), and s_i (w_p s_j) = (s_i w_p) s_j, so
+        each entry is one ``right`` lookup on an entry made before it."""
         if self._left is None:
             with self._lock:
                 if self._left is None:
@@ -283,11 +294,10 @@ class WeylGroup:
 
     def _left_table(self) -> tuple[tuple[int, ...], ...]:
         right = self.right
-        steps = [(p, w.word[-1]) for p, w in zip(self._parents[1:], self.elements[1:])]
         table = []
         for times_s in right:
             row = [times_s[0]]  # s_i times the identity
-            for p, j in steps:
+            for p, j in self.steps:
                 row.append(right[j][row[p]])
             table.append(tuple(row))
         return tuple(table)
@@ -305,19 +315,16 @@ def generate_weyl(
     That order, (length, lex-least word), is a property of the Coxeter
     group, so two faithful realizations list the same words index by index.
     The BFS runs on element positions: expanding element k records
-    ``right[i][k]``, the position of w_k s_i, and each new element's parent.
+    ``right[i][k]``, the position of w_k s_i, and each new element's step.
 
     If the seed orbit is not regular the result is the image of the Weyl
     group in the symmetric group of the orbit, which may be a proper
     quotient; callers that need faithfulness must check the order.
     """
     orbit = weight_orbit(cartan, seed, max_size=max_order)
-    vertex = {v: k for k, v in enumerate(orbit)}
-    gen_perms = [
-        tuple(vertex[reflect(cartan, i, v)] for v in orbit) for i in range(cartan.rank)
-    ]
+    gen_perms = reflection_perms(cartan, orbit)
     identity = tuple(range(len(orbit)))
-    perms, words, parents = [identity], [()], [0]
+    perms, words, steps = [identity], [()], []
     index = {identity: 0}
     right: list[list[int]] = [[] for _ in gen_perms]
     # w_k s_i as one C call: itemgetter(*g)(perm) is (perm[g[0]], perm[g[1]],
@@ -334,12 +341,10 @@ def generate_weyl(
                 index[p] = j
                 perms.append(p)
                 words.append(words[k] + (i,))
-                parents.append(k)
+                steps.append((k, i))
             right[i].append(j)
     elements = tuple(WeylElement(p, len(w), w) for p, w in zip(perms, words))
-    return WeylGroup(
-        cartan, orbit, elements, index, tuple(map(tuple, right)), tuple(parents)
-    )
+    return WeylGroup(cartan, orbit, elements, index, tuple(map(tuple, right)), tuple(steps))
 
 
 @dataclass(frozen=True)

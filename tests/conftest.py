@@ -1,9 +1,11 @@
 import functools
 import itertools
+import sys
 
 import pytest
 
 from renner import PartialInjection, SizeCapExceeded, build_lattice, build_renner, cartan_matrix
+from renner import rootsys
 
 # Every supported type whose Weyl group fits the default cap.
 GRID_TYPES = [("A", r) for r in range(1, 6)] + [
@@ -25,6 +27,21 @@ def grid_patterns():
 # once, on first use), so one per configuration serves every test that asks
 # for it, through the CLI (patched in) or directly.
 cached_build_lattice = functools.cache(build_lattice)
+
+
+def rebind_everywhere(monkeypatch, name, replacement, modules):
+    """Rebind the ``rootsys`` function ``name`` to ``replacement`` in each
+    of ``modules``, which must be every loaded ``renner`` module that binds
+    it: a module importing the name directly would otherwise keep calling
+    the original, and a check on the replacement's calls would pass unseen."""
+    original = getattr(rootsys, name)
+    binding = {
+        key for key, module in sys.modules.items()
+        if key.split(".")[0] == "renner" and getattr(module, name, None) is original
+    }
+    assert binding == {module.__name__ for module in modules}, sorted(binding)
+    for module in modules:
+        monkeypatch.setattr(module, name, replacement)
 
 
 def make_monoid(letter, rank, weight, **kwargs):

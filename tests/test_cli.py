@@ -4,9 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from renner import CrossSectionLattice, PartialInjection, cli, rootsys
+import renner
+from conftest import rebind_everywhere
+from renner import CrossSectionLattice, PartialInjection, cli, monoid, rootsys
 from renner.cli import main
-from renner.conj import MAX_ROOK_POINTS
+from renner.conj import CLASS_KINDS, MAX_ROOK_POINTS
 
 
 def run(capsys, *argv):
@@ -218,13 +220,16 @@ def test_cap_exceeded_exit_3(capsys, monkeypatch):
         )
         assert code == 3 and out == "" and "error:" in err, command
     # Canonical B4's 384-point weight orbit fits no byte code, so it is
-    # refused once the orbit is generated, still before any element.
-    for fmt in ("table", "json"):
-        code, out, err = run(
-            capsys, "build", "--type", "B4", "--weight", "1,1,1,1",
-            "--max-monoid-order", "1000000", "--format", fmt,
-        )
-        assert code == 3 and out == "" and "degree 384" in err, fmt
+    # refused once the orbit is generated, still before any element, by
+    # build and by every classes kind, which read the same face layout.
+    commands = [["build"]] + [["classes", "--kind", kind] for kind in CLASS_KINDS]
+    for command in commands:
+        for fmt in ("table", "json"):
+            code, out, err = run(
+                capsys, *command, "--type", "B4", "--weight", "1,1,1,1",
+                "--max-monoid-order", "1000000", "--format", fmt,
+            )
+            assert code == 3 and out == "" and "degree 384" in err, (command, fmt)
 
 
 def _no_matrix(*args):
@@ -340,7 +345,7 @@ def test_no_classes_kind_builds_the_monoid(capsys, monkeypatch):
         sizes.append(len(orbit))
         return orbit
 
-    monkeypatch.setattr("renner.rootsys.weight_orbit", recording)
+    rebind_everywhere(monkeypatch, "weight_orbit", recording, (renner, rootsys, monoid))
     for kind in ("sim", "munn", "semigroup", "action"):
         code, out, err = run(
             capsys, "classes", "--type", "F4", "--weight", "1,1,1,1", "--kind", kind
@@ -476,7 +481,7 @@ def test_lattice_commands_never_generate_the_weight_orbit(capsys, monkeypatch):
         sizes.append(len(orbit))
         return orbit
 
-    monkeypatch.setattr("renner.rootsys.weight_orbit", recording)
+    rebind_everywhere(monkeypatch, "weight_orbit", recording, (renner, rootsys, monoid))
     for command in ("lattice", "counts", "reps"):
         code, _, _ = run(
             capsys, command, "--type", "F4", "--weight", "1,1,1,1",

@@ -31,8 +31,9 @@ import contextlib
 import hashlib
 import io
 
-from conftest import cached_build_lattice, grid_patterns
-from renner import cli, crosslat, monoid, rootsys
+import renner
+from conftest import cached_build_lattice, grid_patterns, rebind_everywhere
+from renner import cli, crosslat, rootsys
 
 FORMATS = ("table", "json", "csv")
 
@@ -130,8 +131,7 @@ def test_lattice_and_cap_refusals_generate_no_weyl_group(monkeypatch):
                       * rootsys.parabolic(group, e.lambda_sub).order)
             for e in lattice.nonzero
         ) + 1
-    for module in (rootsys, crosslat, monoid):
-        monkeypatch.setattr(module, "generate_weyl", _no_group)
+    rebind_everywhere(monkeypatch, "generate_weyl", _no_group, (renner, rootsys, crosslat))
     lattice_argvs = (["lattice", *c, "--format", f] for c in grid_configs() for f in FORMATS)
     assert digest_of(lattice_argvs) == (LATTICE_DIGEST, 147 * 3)
     commands = [["counts"], ["reps"], ["build"]] + [

@@ -19,6 +19,7 @@ from renner import (
     cartan_matrix,
     compose,
     face_transporter,
+    generate_weyl,
     inverse,
     invertible_part,
     monoid_to_json,
@@ -29,7 +30,8 @@ from renner import (
     subrank,
     weight_orbit,
 )
-from renner.monoid import element_label, iter_export
+from renner.monoid import element_label, face_layout, iter_export
+from renner.partialinj import MAX_DEGREE
 
 
 def test_weight_orbit_sizes():
@@ -200,6 +202,29 @@ def test_weight_orbits_past_a_byte_are_refused():
     # byte code holds its elements, so the build stops once the orbit is known.
     with pytest.raises(SizeCapExceeded, match="degree 384"):
         make_monoid("B", 4, (1, 1, 1, 1), max_monoid_order=10**6)
+
+
+def test_unit_tables_are_the_weight_orbits_own_realization():
+    # face_layout carries the lattice's group onto the weight orbit along
+    # its BFS steps.  A second BFS there, on every grid weight orbit that
+    # fits a byte, must find the same vertices and list the same words, and
+    # element k's permutation must be unit table k.
+    configs = tables = 0
+    for letter, rank, mu in grid_patterns():
+        cartan = cartan_matrix(letter, rank)
+        if len(weight_orbit(cartan, mu)) > MAX_DEGREE:
+            continue
+        lattice = cached_build_lattice(cartan, mu)
+        layout = face_layout(lattice)
+        on_weight = generate_weyl(cartan, mu)
+        n = layout.degree
+        assert layout.vertices == on_weight.vertex_orbit, (letter, mu)
+        assert [w.word for w in on_weight] == [w.word for w in lattice.group], (letter, mu)
+        carried = [t[:n] for t in layout.unit_tables]
+        assert carried == [bytes(w.perm) for w in on_weight], (letter, mu)
+        configs += 1
+        tables += len(layout.unit_tables)
+    assert (configs, tables) == (131, 42_608)
 
 
 def test_build_rejects_bad_weights():

@@ -250,8 +250,10 @@ WEYL_CLASS_COUNTS = {
 def test_both_realizations_list_the_same_words():
     # BFS order is (length, lex-least word) in every faithful realization, so
     # the small orbit of the first fundamental weight and the regular orbit of
-    # (1, ..., 1) list the same Coxeter elements index by index; the monoid
-    # build maps element i of one to element i of the other.
+    # (1, ..., 1) list the same Coxeter elements index by index.  The face
+    # layout needs no second BFS: it carries the lattice's group onto the
+    # weight orbit along the BFS steps, and test_monoid checks that a BFS on
+    # the weight orbit lists the same tables.
     for letter, rank in WEYL_CLASS_COUNTS:
         cartan = cartan_matrix(letter, rank)
         small = generate_weyl(cartan, (1,) + (0,) * (rank - 1))
