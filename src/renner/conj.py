@@ -12,12 +12,12 @@ all four kinds from the lattice, the weight orbit and one representative
 per unit-conjugacy class, without making the monoid: sum over e of
 |W / W_*(e)| cosets instead of |R| elements.  A Munn class merges the
 unit-conjugacy classes whose representatives have unit-conjugate
-invertible parts; the semigroup and action classes close the unit-conjugacy
-classes under the products of their representatives with the idempotents,
-which its docstring proves is enough.  The faces and their transporters
-come from ``monoid.face_layout``, which also checks the layout against the
-closed-form stratum sizes; this module walks no face orbit of its own.
-This is what the ``classes`` command prints.
+invertible parts.  The semigroup and action classes are the Munn classes:
+the paper proves that in a Renner monoid Munn conjugacy coincides with
+semigroup, action and character conjugacy.  The faces and their
+transporters come from ``monoid.face_layout``, which also checks the
+layout against the closed-form stratum sizes; this module walks no face
+orbit of its own.  This is what the ``classes`` command prints.
 
 ``sim_conjugacy_classes`` and ``munn_classes`` reach the same classes
 element by element on a built monoid, and are kept as the independent
@@ -27,8 +27,9 @@ unit-conjugate elements have unit-conjugate invertible parts, so each Munn
 label is read once per unit-conjugacy class, from the invertible part of
 its least member.  The counts need only the lattice.
 
-``semigroup_conjugacy_classes`` and ``action_conjugacy_classes`` are the
-element-level check of the closures, on a built monoid.  They run over the
+``semigroup_conjugacy_classes`` and ``action_conjugacy_classes`` close
+the two relations element by element on a built monoid, so they check the
+theorem rather than rely on it.  They run over the
 monoid's generators A, the simple reflections and the idempotent maps of
 the lattice (R = W Lambda W, so A generates R), not over all pairs of
 elements: O(|R| |A|) byte-code translations instead of O(|R|^2).  Each
@@ -87,13 +88,15 @@ class ConjClassification:
 
     Every kind lists its classes in the same way: each class is represented
     by its least element in ``monoid.elements`` order, and the classes come
-    in the order of those least elements.  ``strata`` holds the stratum of
-    each representative for sim and munn (for munn that is the class's
-    subrank); it is None per class for the semigroup and action kinds.
+    in the order of those least elements.  Each class is a tuple of its
+    elements in that order, so its representative comes first; ``partition``
+    gives the classes as sets.  ``strata`` holds the stratum of each
+    representative for sim and munn (for munn that is the class's subrank);
+    it is None per class for the semigroup and action kinds.
     """
 
     kind: str
-    classes: tuple[frozenset[PartialInjection], ...]
+    classes: tuple[tuple[PartialInjection, ...], ...]
     representatives: tuple[PartialInjection, ...]
     strata: tuple[Optional[CrossIdempotent], ...]
 
@@ -102,7 +105,7 @@ class ConjClassification:
         return len(self.classes)
 
     def partition(self) -> frozenset[frozenset[PartialInjection]]:
-        return frozenset(self.classes)
+        return frozenset(map(frozenset, self.classes))
 
 
 @dataclass(frozen=True)
@@ -220,8 +223,8 @@ def _classes_by_label(
     for idx, label in enumerate(labels):
         groups.setdefault(label, []).append(idx)
     elements = monoid.elements
-    classes = tuple(frozenset(elements[i] for i in idxs) for idxs in groups.values())
-    reps = tuple(elements[idxs[0]] for idxs in groups.values())
+    classes = tuple(tuple(map(elements.__getitem__, idxs)) for idxs in groups.values())
+    reps = tuple(cls[0] for cls in classes)
     if with_strata:
         strata = tuple(monoid.stratum_of(rep) for rep in reps)
     else:
@@ -257,10 +260,9 @@ def lattice_class_rows(lattice: CrossSectionLattice, kind: str) -> tuple[ClassRo
     monoid, row for row as ``classification_rows`` reads them off the
     element-level classification of that kind, from the stabilizer cosets
     and the faces alone: no element is made beyond one representative per
-    unit-conjugacy class and, for the closures, its products with the
-    idempotents.  The caller checks the monoid cap; ``face_layout`` runs
-    first, so a weight orbit past ``MAX_DEGREE`` points is refused, and a
-    layout that fails a check raises, as the build's do.
+    unit-conjugacy class.  The caller checks the monoid cap; ``face_layout``
+    runs first, so a weight orbit past ``MAX_DEGREE`` points is refused, and
+    a layout that fails a check raises, as the build's do.
 
     Stratum e starts at the closed-form sizes of the strata before it, and
     its first block lists u e for the least u of each coset of W_*(e), in
@@ -270,42 +272,24 @@ def lattice_class_rows(lattice: CrossSectionLattice, kind: str) -> tuple[ClassRo
     e's label; every face of e's orbit carries one equal block, so its size
     is the orbit's size times |W| / |W(e)|.
 
-    The other kinds are unions of sim classes, found on those classes by
-    labelling products.  An element z has a face D of some idempotent f as
-    domain; for a unit t carrying F_f onto D, t^{-1} z t is unit conjugate
-    to z and has domain F_f, so it is v restricted to F_f for one coset
-    v W_*(f), whose orbit names the sim class of z.  ``face_layout``
+    A Munn class is a union of sim classes: the sim class of the invertible
+    part of its representative x, which is x restricted to its stable
+    domain S, a face.  For a unit t carrying the face F_f of an idempotent f
+    onto S, t^{-1} x t has domain F_f, so it is v restricted to F_f for one
+    coset v W_*(f), whose orbit names the sim class.  ``face_layout``
     records f and t for every face, so a label is three byte-code
-    translations and two dictionary lookups.
+    translations and two dictionary lookups.  A Munn class takes the index,
+    representative, label and stratum (the class's subrank) of its first
+    sim class, and the summed size of all of them.
 
-    * Munn: the Munn class of a sim class is the sim class of the invertible
-      part of its representative x, which is x restricted to its stable
-      domain S, a face: so x is labelled at S instead of at its domain.
-    * Semigroup: unit conjugacy lies inside the closure of the primary
-      pairs uv ~ vu, as s (x s^-1) and (x s^-1) s = x are a primary pair for
-      a unit s; so the closure can run on the sim classes.  Write u = w e_F
-      for a unit w and the idempotent e_F on the domain F of u.  Then
-      w^-1 (uv) w = e_F x and vu = x e_F with x = v w, and for x = s y s^-1,
-      y the representative of its sim class, s^-1 (e_F x) s = e_G y and
-      s^-1 (x e_F) s = y e_G with G = s^-1 F.  So every primary pair is
-      unit conjugate, term by term, to the pair (e_G y, y e_G) of a
-      representative y and a face G, which is itself a primary pair:
-      uniting the sim classes of y e_G and e_G y for every y and G gives
-      the closure.
-    * Action: a unit's domain is everything, so unit conjugacy lies inside
-      the partial conjugation closure too.  A move x -> sigma x sigma^-1,
-      with the stable domain S(x) inside the domain F of sigma = w e_F, is
-      unit conjugate to x -> e_F x e_F, and for x = s y s^-1 as above to
-      y -> e_G y e_G, where S(x) = s S(y) lies in F exactly when S(y) lies in
-      G = s^-1 F.  That is itself a move, by sigma = e_G: uniting the sim
-      class of y with that of e_G y e_G for every representative y and
-      every face G holding S(y) gives the closure.
-
-    A merged class lists the sim classes it unites by their least elements,
-    so it takes the first one's index, representative and label, and their
-    summed size.  Munn keeps the first one's stratum, the class's subrank;
-    the semigroup and action rows, like their element-level
-    classifications, have none.
+    In a Renner monoid the semigroup and action conjugacies coincide with
+    Munn conjugacy (the paper's theorem), so those kinds are the Munn rows
+    without a stratum, as their element-level classifications have none.
+    The independent check of the theorem closes the relations themselves:
+    ``semigroup_conjugacy_classes`` and ``action_conjugacy_classes`` over a
+    built monoid's generators, and ``semigroup_classes_pairwise`` and
+    ``action_classes_pairwise`` (``tests/oracles.py``) over every pair of
+    elements.
     """
     if kind not in CLASS_KINDS:
         raise ValueError(f"no {kind!r} classes: the kinds are {', '.join(CLASS_KINDS)}")
@@ -347,57 +331,12 @@ def lattice_class_rows(lattice: CrossSectionLattice, kind: str) -> tuple[ClassRo
                for mask, face in layout.faces.items()}
     domain_of = bytes([1]) * n + bytes(256 - n)  # a code's defined points
 
-    def sim_of(z: bytes, face: bytes) -> int:
-        """The sim row of z, conjugated by the transporter of ``face``,
-        z's domain or a face inside it."""
-        t, t_inv, rows_at_f = at_face[face]
-        return rows_at_f[t.translate(z + pad).translate(t_inv)]
-
-    if kind == "munn":
-        labels = [sim_of(row.code, _stable_power(row.code).translate(domain_of)) for row in rows]
-    else:
-        # Every idempotent but the zero and the identity, which fix each y,
-        # with its face's points as an integer mask, a byte per point.
-        every = bytes(range(n + 1))
-        idempotents = []
-        for mask, face in layout.faces.items():
-            if 0 < mask.count(1) < n:
-                e_code = face.identity  # t e_F t^-1, the identity on t F
-                idempotents.append((int.from_bytes(mask, "little"), e_code, e_code + pad))
-        # bytes.maketrans(y, hit) sends the values of y, its image and the
-        # undefined n, to 255, which no point is, and every other point to
-        # itself; on_image then reads 255 as 1 and the rest as 0.
-        hit, on_image = bytes([255]) * (n + 1), bytes(255) + bytes([1])
-        uf = UnionFind(len(rows))
-        for i, row in enumerate(rows):
-            y = row.code
-            y_table = y + pad
-            # A product of y with e_G depends on G only through G's points in
-            # the domain and image of y, so faces alike there are tried once.
-            image = every.translate(bytes.maketrans(y, hit)).translate(on_image)
-            moved = (int.from_bytes(y.translate(domain_of), "little")
-                     | int.from_bytes(image, "little"))
-            if kind == "semigroup":
-                cuts = {points & moved: (e_code, e_table)
-                        for points, e_code, e_table in idempotents}
-                for e_code, e_table in cuts.values():
-                    left, right = e_code.translate(y_table), y.translate(e_table)
-                    if left != right:
-                        uf.union(sim_of(left, left.translate(domain_of)),
-                                 sim_of(right, right.translate(domain_of)))
-            else:
-                stable = int.from_bytes(_stable_power(y).translate(domain_of), "little")
-                cuts = {points & moved: (e_code, e_table)
-                        for points, e_code, e_table in idempotents
-                        if points & stable == stable}
-                for e_code, e_table in cuts.values():
-                    z = e_code.translate(y_table).translate(e_table)
-                    if z != y:
-                        uf.union(i, sim_of(z, z.translate(domain_of)))
-        labels = [uf.find(i) for i in range(len(rows))]
-
     merged: dict[int, ClassRow] = {}
-    for row, label in zip(rows, labels):  # ascending least elements
+    for row in rows:  # ascending least elements
+        # The sim row of the invertible part, conjugated by the transporter
+        # of its domain, the stable domain of the row's code.
+        t, t_inv, rows_at_f = at_face[_stable_power(row.code).translate(domain_of)]
+        label = rows_at_f[t.translate(row.code + pad).translate(t_inv)]
         first = merged.get(label)
         merged[label] = row if first is None else replace(first, size=first.size + row.size)
     if kind == "munn":
@@ -419,10 +358,10 @@ def semigroup_conjugacy_classes(monoid: RennerMonoid) -> ConjClassification:
     the first step a pair whose right factor has k - 1 generators, the
     second the generator step on x = a_2 ... a_k u.
 
-    The ``classes`` command lists these classes by ``lattice_class_rows``,
-    on the unit-conjugacy classes and without the monoid; this
-    element-level pass is the independent check of that route, and library
-    API for callers that hold a monoid.
+    The ``classes`` command lists these classes as the Munn classes, by the
+    paper's theorem (``lattice_class_rows``); this element-level closure is
+    the independent check of that theorem, and library API for callers that
+    hold a monoid.
     """
     index = monoid.index_by_code
     gens = [(a.code, a.table) for a in monoid.generators]
@@ -459,10 +398,10 @@ def action_conjugacy_classes(monoid: RennerMonoid) -> ConjClassification:
     when p is unchanged by the partial identity on D: one translation per
     generator.
 
-    The ``classes`` command lists these classes by ``lattice_class_rows``,
-    on the unit-conjugacy classes and without the monoid; this
-    element-level pass is the independent check of that route, and library
-    API for callers that hold a monoid.
+    The ``classes`` command lists these classes as the Munn classes, by the
+    paper's theorem (``lattice_class_rows``); this element-level closure is
+    the independent check of that theorem, and library API for callers that
+    hold a monoid.
     """
     index, n = monoid.index_by_code, monoid.degree
     moves = [

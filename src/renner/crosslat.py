@@ -172,8 +172,9 @@ class CrossSectionLattice:
 
     ``idempotents`` starts with the zero, then the admissible sets ordered by
     (size, indices); the top (the monoid identity) comes last.  The order on
-    nonzero idempotents is lambda_star inclusion (``build_renner`` checks
-    that it agrees with face inclusion, the idempotent-product order).
+    nonzero idempotents is lambda_star inclusion (``monoid.face_layout``
+    checks that it agrees with face inclusion, the idempotent-product
+    order).
 
     The centralizer and stabilizer orders, and so the stratum sizes and
     |R|, are closed-form products over Dynkin components, fixed at

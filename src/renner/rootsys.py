@@ -15,7 +15,7 @@ import threading
 from dataclasses import dataclass
 from functools import cached_property, partial
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .errors import InvalidType, SizeCapExceeded
 
@@ -161,28 +161,25 @@ def bfs_orbit(
     start: T,
     moves: Sequence[Callable[[T], T]],
     *,
-    key: Optional[Callable[[T], Hashable]] = None,
     max_size: Optional[int] = None,
     what: str = "orbit",
 ) -> tuple[T, ...]:
     """Everything reachable from ``start`` by repeated ``moves``, in
-    breadth-first discovery order (moves tried in the order given).  Items
-    are told apart by ``key`` (default: the item itself) and the first one
-    reaching a key is kept; growing past ``max_size`` raises SizeCapExceeded.
+    breadth-first discovery order (moves tried in the order given); growing
+    past ``max_size`` raises SizeCapExceeded.
 
     >>> bfs_orbit(0, [lambda x: (x + 2) % 6, lambda x: (x + 3) % 6])
     (0, 2, 3, 4, 5, 1)
     """
-    seen = {start if key is None else key(start)}
+    seen = {start}
     order = [start]
     for x in order:  # grows while we iterate
         for move in moves:
             y = move(x)
-            k = y if key is None else key(y)
-            if k not in seen:
+            if y not in seen:
                 if max_size is not None and len(order) >= max_size:
                     raise SizeCapExceeded(f"{what} exceeds the cap {max_size}")
-                seen.add(k)
+                seen.add(y)
                 order.append(y)
     return tuple(order)
 

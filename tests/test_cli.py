@@ -326,7 +326,7 @@ total: 35
 
 
 def test_no_classes_kind_builds_the_monoid(capsys, monkeypatch):
-    # Every kind answers from the lattice, the closures on the sim classes.
+    # Every kind answers from the lattice; semigroup and action as the Munn classes.
     _forbid_the_monoid(monkeypatch)
     config = ("--type", "B3", "--weight", "1,1,1")
     for kind, count in (("sim", 197), ("munn", 30), ("semigroup", 30), ("action", 30)):

@@ -209,7 +209,7 @@ def test_munn_equals_semigroup_and_action_partitions(basic_a2, canonical_a2):
 def test_sim_refines_munn_strictly(canonical_a2):
     sim = sim_conjugacy_classes(canonical_a2)
     munn = munn_classes(canonical_a2).partition()
-    for cls in sim.classes:
+    for cls in sim.partition():
         assert any(cls <= big for big in munn)
     assert sim.class_count == 18 and len(munn) == 9
 
@@ -273,10 +273,10 @@ def test_munn_class_meets_exactly_one_star_group(basic_b2):
     for cls, e in zip(munn.classes, munn.strata):
         if e.is_zero:
             continue
-        hits = {idx for idx, grp in realized.items() if cls & grp}
+        hits = {idx for idx, grp in realized.items() if grp.intersection(cls)}
         assert hits == {e.index}
         # ... and the intersection is a full conjugacy class of that group.
-        meet = cls & realized[e.index]
+        meet = realized[e.index].intersection(cls)
         members = sorted(realized[e.index], key=lambda p: R.index_of(p))
         inv = {p: inverse(p) for p in members}
         closure = set()
@@ -466,9 +466,10 @@ def grid_lattices(max_order):
 
 def test_lattice_route_lists_the_element_level_classes(small_grid):
     # Every grid configuration with |R| <= 5000, every kind: the rows made
-    # from the cosets and faces alone (the closures on the sim classes)
-    # equal, in order, the least index, stratum, size, representative code
-    # and element_label read off the built monoid's classification.
+    # from the cosets and faces alone (semigroup and action as the Munn
+    # rows, by the paper's theorem) equal, in order, the least index,
+    # stratum, size, representative code and element_label read off the
+    # built monoid's classification: the element closures check the theorem.
     built = dict(small_grid[0])
     checked = 0
     for config, lattice in grid_lattices(5000):
@@ -500,8 +501,8 @@ def test_lattice_route_counts_on_the_grid():
         assert len(munn) == irreducible_rep_count(lattice), config
         for rows in (sim, munn):
             assert sum(row.size for row in rows) == lattice.monoid_order, config
-        # The paper's theorem: the closures list Munn's classes, each with
-        # its least element, size and label, and no stratum.
+        # The paper's theorem: semigroup and action list Munn's classes,
+        # each with its least element, size and label, and no stratum.
         for kind in ("semigroup", "action"):
             rows = lattice_class_rows(lattice, kind)
             assert rows == tuple(replace(row, stratum=None) for row in munn), (config, kind)

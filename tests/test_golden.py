@@ -153,7 +153,7 @@ def test_sim_and_munn_classes_grid_digest(monkeypatch):
 
 
 def test_semigroup_and_action_classes_digest(monkeypatch):
-    # Both kinds answer from the lattice, on the sim classes.
+    # Both kinds answer from the lattice, as the Munn classes (the paper's theorem).
     monkeypatch.setattr(cli, "build_lattice", cached_build_lattice)
     assert digest_of(pairwise_argvs()) == (PAIRWISE_DIGEST, 16 * 6)
 
