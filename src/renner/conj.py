@@ -14,8 +14,8 @@ per unit-conjugacy class, without making the monoid: sum over e of
 unit-conjugacy classes whose representatives have unit-conjugate
 invertible parts.  The semigroup and action classes are the Munn classes:
 the paper proves that in a Renner monoid Munn conjugacy coincides with
-semigroup, action and character conjugacy.  The faces and their
-transporters come from ``monoid.face_layout``, which also checks the
+semigroup, action and character conjugacy.  Each face and its
+transporter come from ``monoid.face_layout``, which also checks the
 layout against the closed-form stratum sizes; this module walks no face
 orbit of its own.  This is what the ``classes`` command prints.
 
@@ -46,7 +46,7 @@ from typing import Hashable, Iterable, Optional, Sequence
 
 from .crosslat import CrossIdempotent, CrossSectionLattice
 from .errors import SizeCapExceeded
-from .monoid import RennerMonoid, element_label, face_layout, word_times_face
+from .monoid import RennerMonoid, _domain_table, element_label, face_layout, word_times_face
 from .partialinj import MAX_DEGREE, PartialInjection, _stable_power, inverse, invertible_part
 from .rootsys import bfs_orbit, group_conjugacy_classes
 
@@ -91,7 +91,7 @@ class ConjClassification:
     in the order of those least elements.  Each class is a tuple of its
     elements in that order, so its representative comes first; ``partition``
     gives the classes as sets.  ``strata`` holds the stratum of each
-    representative for sim and munn (for munn that is the class's subrank);
+    representative for sim and munn (for munn, that of its invertible part);
     it is None per class for the semigroup and action kinds.
     """
 
@@ -234,8 +234,8 @@ def _classes_by_label(
 
 def munn_classes(monoid: RennerMonoid) -> ConjClassification:
     """Partition by the unit-conjugacy class of the invertible part, so
-    each class lies over one subrank (those with zero invertible part over
-    the zero's).
+    each class lies over the stratum of its members' invertible parts
+    (those with zero invertible part over the zero's).
 
     Unit-conjugate elements have unit-conjugate invertible parts, so the
     invertible part is taken once per sim class, of its least member, the
@@ -279,8 +279,8 @@ def lattice_class_rows(lattice: CrossSectionLattice, kind: str) -> tuple[ClassRo
     coset v W_*(f), whose orbit names the sim class.  ``face_layout``
     records f and t for every face, so a label is three byte-code
     translations and two dictionary lookups.  A Munn class takes the index,
-    representative, label and stratum (the class's subrank) of its first
-    sim class, and the summed size of all of them.
+    representative, label and stratum (that of its invertible parts) of its
+    first sim class, and the summed size of all of them.
 
     In a Renner monoid the semigroup and action conjugacies coincide with
     Munn conjugacy (the paper's theorem), so those kinds are the Munn rows
@@ -329,7 +329,7 @@ def lattice_class_rows(lattice: CrossSectionLattice, kind: str) -> tuple[ClassRo
     # the sim rows of f, for its idempotent f and its transporter t.
     at_face = {mask: (face.map, face.inverse, row_at[face.owner.index])
                for mask, face in layout.faces.items()}
-    domain_of = bytes([1]) * n + bytes(256 - n)  # a code's defined points
+    domain_of = _domain_table(n)
 
     merged: dict[int, ClassRow] = {}
     for row in rows:  # ascending least elements

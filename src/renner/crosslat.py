@@ -179,10 +179,9 @@ class CrossSectionLattice:
     The centralizer and stabilizer orders, and so the stratum sizes and
     |R|, are closed-form products over Dynkin components, fixed at
     construction: a lattice query or a cap check makes no group.  The Weyl
-    group and its parabolic subgroups are made when first asked for: the
-    group once, under the lattice's lock; each subgroup published by one
-    ``dict.setdefault``, so every caller gets the first one stored.  The
-    lattice is safe to share.
+    group is made when first asked for, once, under the lattice's lock; a
+    parabolic subgroup is read off its tables on each request.  The lattice
+    is safe to share.
     """
 
     def __init__(
@@ -201,7 +200,6 @@ class CrossSectionLattice:
         self._orders = {J: parabolic_order(J, cartan) for J in index_sets}
         self._group: Optional[WeylGroup] = None
         self._lock = threading.Lock()
-        self._parabolics: dict[frozenset[int], Subgroup] = {}
         self._verify()
 
     @property
@@ -233,31 +231,24 @@ class CrossSectionLattice:
             return False
         return e.lambda_star <= f.lambda_star
 
-    def _parabolic(self, indices: Iterable[int]) -> Subgroup:
-        J = frozenset(indices)
-        sub = self._parabolics.get(J)
-        if sub is None:
-            sub = self._parabolics.setdefault(J, parabolic(self.group, J))
-        return sub
-
     def centralizer(self, e: CrossIdempotent) -> Subgroup:
         """The units commuting with e; the whole group for e = 0."""
         if e.is_zero:
-            return self._parabolic(range(self.cartan.rank))
-        return self._parabolic(e.lambda_set)
+            return parabolic(self.group, range(self.cartan.rank))
+        return parabolic(self.group, e.lambda_set)
 
     def stabilizer(self, e: CrossIdempotent) -> Subgroup:
         """The units w with w*e = e; everything kills zero, so the whole
         group for e = 0."""
         if e.is_zero:
-            return self._parabolic(range(self.cartan.rank))
-        return self._parabolic(e.lambda_sub)
+            return parabolic(self.group, range(self.cartan.rank))
+        return parabolic(self.group, e.lambda_sub)
 
     def star_group(self, e: CrossIdempotent) -> Subgroup:
         """The lambda_star parabolic; trivial for e = 0."""
         if e.is_zero:
-            return self._parabolic(())
-        return self._parabolic(e.lambda_star)
+            return parabolic(self.group, ())
+        return parabolic(self.group, e.lambda_star)
 
     def centralizer_order(self, e: CrossIdempotent) -> int:
         """|W(e)|, the order of ``centralizer(e)``, in closed form."""

@@ -21,9 +21,5 @@ class ZeroElement(RennerError):
     """The operation is undefined for the zero element."""
 
 
-class NotInOrbit(RennerError):
-    """The target face is not in the Weyl orbit of the base face."""
-
-
 class ConstructionError(RennerError):
     """An internal consistency check failed while building a structure."""

@@ -21,50 +21,30 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .crosslat import CrossIdempotent, CrossSectionLattice, build_lattice
-from .errors import ConstructionError, NotInOrbit, SizeCapExceeded, ZeroElement
-from .partialinj import MAX_DEGREE, PartialInjection, compose, inverse, stable_domain
+from .errors import ConstructionError, SizeCapExceeded, ZeroElement
+from .partialinj import MAX_DEGREE, PartialInjection, inverse
 from .rootsys import DEFAULT_MAX_GROUP_ORDER, CartanMatrix, Weight, WeylElement
 from .rootsys import bfs_orbit, reflection_perms, weight_orbit
 
 DEFAULT_MAX_MONOID_ORDER = 250_000
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    """sigma = e_range * unit * e_domain with the canonical unit (the
-    shortest, lex-least one agreeing with sigma on its domain)."""
-
-    range_face: frozenset[int]
-    unit: WeylElement
-    domain_face: frozenset[int]
-
-
-@dataclass(frozen=True)
-class FaceTransporter:
-    """Shortest-unit partial map carrying a lattice face onto a face of its
-    orbit; ``map`` is the unit restricted to the base face."""
-
-    target_face: frozenset[int]
-    base_face: frozenset[int]
-    unit: WeylElement
-    map: PartialInjection
-
-
 class RennerMonoid:
     """A Renner monoid as a concrete set of partial injections on the
-    weight orbit ``vertices``; ``unit_for`` realizes each element of the
-    lattice's Weyl group ``group`` as a unit there.
+    weight orbit ``vertices``, read through the face layout ``layout`` it
+    was built from; ``unit_for`` realizes each element of the lattice's
+    Weyl group ``group`` as a unit there.
 
     ``elements`` lists the strata in lattice order, so the zero comes first
     and the units last, in ``group.elements`` order.  Each stratum is one
-    contiguous index range, ordered by domain face in face-orbit order, then
-    by canonical unit in (length, word) order.  ``canonical_units`` is
-    aligned with ``elements``, and ``index_by_code`` maps each element's byte
-    code to its index.  ``layout`` is the face layout the build read;
-    ``face_orbits`` lists each idempotent's face orbit from it, as point
-    sets, and ``transporters`` maps every face to the transporter the walk
-    found for it, the shortest unit carrying its lattice face onto it.
-    Everything is fixed at construction, so instances are safe to share.
+    contiguous index range, ``strata[e.index]``, of its closed-form size,
+    ordered by domain face in the layout's walk order, then by canonical
+    unit in (length, word) order.  ``canonical_units`` is aligned with
+    ``elements``, and ``index_by_code`` maps each element's byte code to its
+    index.  An element's domain is a face of the layout, and the layout's
+    record of it gives the element's stratum, its face's name and the
+    transporter ``project`` conjugates by.  Everything is fixed at
+    construction, so instances are safe to share.
     """
 
     def __init__(
@@ -73,7 +53,6 @@ class RennerMonoid:
         layout: FaceLayout,
         elements: tuple[PartialInjection, ...],
         canonical_units: tuple[WeylElement, ...],
-        strata: dict[int, tuple[int, ...]],
     ):
         group = lattice.group
         self.group = group
@@ -82,28 +61,18 @@ class RennerMonoid:
         self.vertices = layout.vertices
         self.elements = elements
         self.canonical_units = canonical_units
-        self.strata = strata
-        orbits: dict[int, list[frozenset[int]]] = {e.index: [] for e in lattice.idempotents}
-        self.face_to_idem: dict[frozenset[int], CrossIdempotent] = {}
-        self.transporters: dict[frozenset[int], FaceTransporter] = {}
-        for face in layout.faces.values():
-            t = PartialInjection._trusted(face.map)
-            target = t.image
-            orbits[face.owner.index].append(target)
-            self.face_to_idem[target] = face.owner
-            unit = group.elements[face.unit]
-            self.transporters[target] = FaceTransporter(target, t.domain, unit, t)
-        self.face_orbits = {i: tuple(orbit) for i, orbit in orbits.items()}
+        self.strata = {e.index: r for e, r in _stratum_ranges(lattice)}
         self.index_by_code = {p.code: i for i, p in enumerate(elements)}
-        self.units = tuple(elements[i] for i in strata[lattice.one.index])
+        self.units = elements[self.strata[lattice.one.index].start :]
         self._unit_by_perm = {w.perm: u for w, u in zip(group.elements, self.units)}
         # Each stratum opens with e's own face under the identity: e itself.
-        self._idem_maps = {e.index: elements[strata[e.index][0]] for e in lattice.idempotents}
+        self._idem_maps = {i: elements[r.start] for i, r in self.strata.items()}
         self.zero = self._idem_maps[lattice.zero.index]
         self.one = self.units[0]
         unit_gens = [self.unit_for(g) for g in group.generators]
         # Drops repeats, keeps first-seen order.
         self.generators = tuple(dict.fromkeys(unit_gens + list(self._idem_maps.values())))
+        self._domain_of = _domain_table(layout.degree)
 
     @property
     def order(self) -> int:
@@ -125,7 +94,7 @@ class RennerMonoid:
     def face(self, e: CrossIdempotent) -> frozenset[int]:
         """The orbit of the weight (vertex 0) under e's lambda_star
         parabolic; empty for e = 0."""
-        return self.face_orbits[e.index][0]
+        return self.idempotent_map(e).domain
 
     def unit_for(self, w: WeylElement) -> PartialInjection:
         return self._unit_by_perm[w.perm]
@@ -136,7 +105,11 @@ class RennerMonoid:
 
     def stratum_of(self, sigma: PartialInjection) -> CrossIdempotent:
         """The lattice idempotent whose double coset contains sigma."""
-        return self.face_to_idem[sigma.domain]
+        return self._face_of(sigma).owner
+
+    def _face_of(self, sigma: PartialInjection) -> Face:
+        """The layout's record of sigma's domain, looked up by its mask."""
+        return self.layout.faces[sigma.code.translate(self._domain_of)]
 
 
 def check_monoid_cap(lattice: CrossSectionLattice, max_monoid_order: int) -> None:
@@ -251,7 +224,7 @@ def face_layout(lattice: CrossSectionLattice) -> FaceLayout:
     seeds[lattice.zero] = frozenset()
 
     left = group.left
-    domain_of = bytes([1]) * n + bytes(MAX_DEGREE + 1 - n)  # a code's defined points
+    domain_of = _domain_table(n)
     faces: dict[bytes, Face] = {}
     for e in lattice.idempotents:
         identity = bytearray([n]) * (n + 1)
@@ -278,6 +251,22 @@ def face_layout(lattice: CrossSectionLattice) -> FaceLayout:
         if len(orbit) * len(set(map(code.translate, unit_tables))) != lattice.stratum_size(e):
             raise ConstructionError(f"stratum {e.label} differs from its closed-form size")
     return FaceLayout(vertices, tuple(unit_tables), faces)
+
+
+def _domain_table(n: int) -> bytes:
+    """The table translating a degree-n code to its domain's mask: 1 on
+    the defined points, 0 on the undefined byte n."""
+    return bytes([1]) * n + bytes(MAX_DEGREE + 1 - n)
+
+
+def _stratum_ranges(lattice: CrossSectionLattice) -> Iterator[tuple[CrossIdempotent, range]]:
+    """Each idempotent with the index range of its stratum in R's element
+    order: consecutive, of the closed-form sizes, in lattice order."""
+    start = 0
+    for e in lattice.idempotents:
+        size = lattice.stratum_size(e)
+        yield e, range(start, start + size)
+        start += size
 
 
 def _restrictions(face_code: bytes, unit_tables: Sequence[bytes]) -> dict[bytes, int]:
@@ -309,7 +298,7 @@ def build_renner(
     """Build the Renner monoid of the J-irreducible monoid with highest
     weight ``mu`` over the given Cartan type.
 
-    The Weyl group, the faces and their transporters come from
+    The Weyl group, and each face with its transporter, come from
     ``face_layout``, which checks them against the closed-form stratum
     sizes.  Each stratum W e W is enumerated as the units restricted to the
     faces of the orbit of e's face (the empty face giving the zero map), in
@@ -325,102 +314,69 @@ def build_renner(
 
     elements: list[PartialInjection] = []
     canonical_units: list[WeylElement] = []
-    strata: dict[int, tuple[int, ...]] = {}
-    stops: dict[int, int] = {}
+    sizes = dict.fromkeys((e.index for e in lattice.idempotents), 0)
     for face, made in _scan(layout):
         for code, k in made.items():
             elements.append(PartialInjection._trusted(code))
             canonical_units.append(units[k])
-        stops[face.owner.index] = len(elements)
-    start = 0
+        sizes[face.owner.index] += len(made)
     for e in lattice.idempotents:
-        strata[e.index] = tuple(range(start, stops[e.index]))
-        start = stops[e.index]
-        if len(strata[e.index]) != lattice.stratum_size(e):
+        if sizes[e.index] != lattice.stratum_size(e):
             raise ConstructionError(f"stratum {e.label} differs from its closed-form size")
 
-    return RennerMonoid(lattice, layout, tuple(elements), tuple(canonical_units), strata)
+    return RennerMonoid(lattice, layout, tuple(elements), tuple(canonical_units))
 
 
-def normal_form(monoid: RennerMonoid, sigma: PartialInjection) -> NormalForm:
-    """Factor a nonzero element through its domain and range faces.
+def normal_form(monoid: RennerMonoid, sigma: PartialInjection) -> WeylElement:
+    """The canonical unit of a nonzero element: the (length, word)-least
+    unit u agreeing with sigma on its domain, so that sigma = e_range * u *
+    e_domain for the partial identities on ``sigma.image`` and
+    ``sigma.domain``.
 
-    The unit is the (length, word)-least one agreeing with sigma on its
-    domain, recorded when the build made sigma, so the form is
-    deterministic; the zero element is rejected.  The element-level
-    classifications label their representatives through it; the lattice
-    route of ``classes`` reads the same unit off its coset instead.
+    The build recorded u when it made sigma, so the form is deterministic;
+    the zero element is rejected.  The element-level classifications label
+    their representatives through it; the lattice route of ``classes`` reads
+    the same unit off its coset instead.
     """
     if sigma == monoid.zero:
         raise ZeroElement("the zero element has no normal form")
     if sigma not in monoid:
         raise ValueError("element does not belong to the monoid")
-    unit = monoid.canonical_units[monoid.index_of(sigma)]
-    return NormalForm(sigma.image, unit, sigma.domain)
-
-
-def subrank(monoid: RennerMonoid, sigma: PartialInjection) -> CrossIdempotent:
-    """The lattice idempotent whose stratum holds the invertible part of
-    sigma; the zero idempotent when the stable domain is empty."""
-    if sigma not in monoid:
-        raise ValueError("element does not belong to the monoid")
-    face = stable_domain(sigma)
-    e = monoid.face_to_idem.get(face)
-    if e is None:
-        raise ConstructionError("stable domain is not a lattice face")
-    return e
-
-
-def face_transporter(
-    monoid: RennerMonoid, base: Iterable[int], target: Iterable[int]
-) -> FaceTransporter:
-    """The shortest unit carrying the lattice face ``base`` onto ``target``.
-
-    The base must be the face of a lattice idempotent; the target must lie in
-    its orbit, else ``NotInOrbit``.  The minimal-length mover is unique; the
-    build recorded it as the first unit in (length, word) order to carry the
-    base onto the target.
-    """
-    base = frozenset(base)
-    target = frozenset(target)
-    owner = monoid.face_to_idem.get(base)
-    if owner is None or monoid.face(owner) != base:
-        raise ValueError("base must be the face of a lattice idempotent")
-    if monoid.face_to_idem.get(target) is not owner:
-        raise NotInOrbit(f"face {sorted(target)} is not in the orbit of {sorted(base)}")
-    return monoid.transporters[target]
+    return monoid.canonical_units[monoid.index_of(sigma)]
 
 
 def project(monoid: RennerMonoid, sigma: PartialInjection) -> PartialInjection:
     """Transport a nonzero element back to a bijection of its stratum's
-    lattice face (an element of the realized lambda_star subgroup).
+    lattice face (an element of the realized lambda_star subgroup): t_r^-1
+    sigma t_d, for the transporter t_d the layout records for its domain
+    and the one, t_r, for its range.
 
-    Units project to themselves; conjugating by the transporters preserves
-    products of composable pairs within a stratum.  No command calls it: a
-    Munn-class oracle of the tests and the benchmark's micro-timings do.
+    Units project to themselves; conjugating by the faces' transporters
+    preserves products of composable pairs within a stratum.  No command
+    calls it: a Munn-class oracle of the tests and the benchmark's
+    micro-timings do.
     """
     if sigma == monoid.zero:
         raise ZeroElement("the zero element has no projection")
     if sigma not in monoid:
         raise ValueError("element does not belong to the monoid")
-    to_dom = monoid.transporters[sigma.domain]
-    to_rng = monoid.transporters[sigma.image]
-    return compose(inverse(to_rng.map), compose(sigma, to_dom.map))
+    to_dom = monoid._face_of(sigma).map
+    from_rng = monoid._face_of(inverse(sigma)).inverse
+    return PartialInjection._trusted(to_dom.translate(sigma.table).translate(from_rng))
 
 
 def element_label(monoid: RennerMonoid, sigma: PartialInjection) -> str:
-    """Readable name: unit word times the domain-face name, e.g. "s1s2*e_0"."""
+    """Readable name: unit word times the domain-face name, e.g. "s1s2*e_0";
+    a face other than its idempotent's own is named by its points."""
     if sigma == monoid.zero:
         return "0"
-    form = normal_form(monoid, sigma)
-    if len(form.domain_face) == monoid.degree:
-        return word_times_face(form.unit.word, None)
-    idem = monoid.face_to_idem[form.domain_face]
-    if form.domain_face == monoid.face(idem):
-        face = idem.label
-    else:
-        face = "e[" + ",".join(str(i) for i in sorted(form.domain_face)) + "]"
-    return word_times_face(form.unit.word, face)
+    word = normal_form(monoid, sigma).word
+    face = monoid._face_of(sigma)
+    if face.owner is monoid.lattice.one:
+        return word_times_face(word, None)
+    if face.unit == 0:
+        return word_times_face(word, face.owner.label)
+    return word_times_face(word, "e[" + ",".join(map(str, sorted(sigma.domain))) + "]")
 
 
 def word_times_face(word: Sequence[int], face: Optional[str]) -> str:
@@ -495,11 +451,7 @@ def _export_pieces(lattice: CrossSectionLattice, layout: FaceLayout) -> Iterator
         + [(face.map.translate(None, undefined), face.map)
            for face in layout.faces.values() if face.unit == 0]
     )
-    strata, start = {}, 0
-    for e in lattice.idempotents:
-        size = lattice.stratum_size(e)
-        strata[e.label] = range(start, start + size)
-        start += size
+    strata = {e.label: r for e, r in _stratum_ranges(lattice)}
     yield "".join([
         '\n  ],\n  "generators": ', _json_block((written(s, [c]) for s, c in generators), 2),
         ',\n  "strata": ', _json_block(

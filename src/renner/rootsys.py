@@ -11,7 +11,6 @@ the group's index tables of products with simple reflections.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property, partial
 from operator import itemgetter
@@ -227,10 +226,8 @@ class WeylGroup:
     reflections are list lookups.  ``steps[k - 1]`` is the BFS tree edge
     (p, j) to element k > 0: w_k = w_p s_j with p < k.  Other products are
     resolved through the one permutation index the BFS built, so every
-    product is one of the stored canonical elements.
-
-    ``left`` is derived on first use, once, under the group's lock;
-    everything else is fixed at construction.
+    product is one of the stored canonical elements.  Everything is fixed
+    at construction.
     """
 
     def __init__(
@@ -250,8 +247,16 @@ class WeylGroup:
         self.identity = elements[0]
         self.steps = steps
         self._index = index
-        self._left: Optional[tuple[tuple[int, ...], ...]] = None
-        self._lock = threading.Lock()
+        # Element k > 0 is w_p s_j for its step (p, j), and s_i (w_p s_j) =
+        # (s_i w_p) s_j, so each entry of left is one right lookup on an
+        # entry made before it.
+        left = []
+        for times_s in right:
+            row = [times_s[0]]  # s_i times the identity
+            for p, j in steps:
+                row.append(right[j][row[p]])
+            left.append(tuple(row))
+        self.left = tuple(left)
 
     @property
     def order(self) -> int:
@@ -278,26 +283,6 @@ class WeylGroup:
             p[ai] = i
         return self.elements[self._index[tuple(p)]]
 
-    @property
-    def left(self) -> tuple[tuple[int, ...], ...]:
-        """``left[i][k]``: the position of s_i w_k.  Element k > 0 is
-        w_p s_j for its step (p, j), and s_i (w_p s_j) = (s_i w_p) s_j, so
-        each entry is one ``right`` lookup on an entry made before it."""
-        if self._left is None:
-            with self._lock:
-                if self._left is None:
-                    self._left = self._left_table()
-        return self._left
-
-    def _left_table(self) -> tuple[tuple[int, ...], ...]:
-        right = self.right
-        table = []
-        for times_s in right:
-            row = [times_s[0]]  # s_i times the identity
-            for p, j in self.steps:
-                row.append(right[j][row[p]])
-            table.append(tuple(row))
-        return tuple(table)
 
 
 def generate_weyl(

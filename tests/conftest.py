@@ -23,9 +23,9 @@ def grid_patterns():
                 yield letter, rank, mu
 
 
-# A lattice never changes once made (its group and subgroups are filled in
-# once, on first use), so one per configuration serves every test that asks
-# for it, through the CLI (patched in) or directly.
+# A lattice never changes once made (its group is made once, on first use),
+# so one per configuration serves every test that asks for it, through the
+# CLI (patched in) or directly.
 cached_build_lattice = functools.cache(build_lattice)
 
 
@@ -51,6 +51,12 @@ def make_monoid(letter, rank, weight, **kwargs):
 def zero_map(degree):
     """The empty map on ``degree`` points."""
     return PartialInjection.from_targets([None] * degree)
+
+
+def mask_points(mask):
+    """The points of a face given by its 0/1 mask, as ``FaceLayout.faces``
+    keys it."""
+    return frozenset(i for i, bit in enumerate(mask) if bit)
 
 
 def identity_map(degree):

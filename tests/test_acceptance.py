@@ -5,6 +5,7 @@ tolerances appear anywhere.  Run with ``pytest tests/test_acceptance.py -v -s``
 to see the per-criterion lines.
 """
 
+from conftest import mask_points
 from oracles import all_partial_injections, partition_count
 from renner import (
     PartialInjection,
@@ -12,7 +13,6 @@ from renner import (
     classification_rows,
     compose,
     count_sim_classes,
-    face_transporter,
     inverse,
     invertible_part,
     irreducible_rep_count,
@@ -151,7 +151,7 @@ def _check_factorizability(name, R, failures):
         if sigma == R.zero:
             witness = R.one
         else:
-            witness = R.unit_for(normal_form(R, sigma).unit)
+            witness = R.unit_for(normal_form(R, sigma))
         # sigma must be the witness restricted to sigma's domain.
         e_dom = PartialInjection.partial_identity(R.degree, sigma.domain)
         if compose(witness, e_dom) != sigma:
@@ -191,10 +191,10 @@ def _check_normal_form_roundtrip(name, R, failures):
     for sigma in R.elements:
         if sigma == R.zero:
             continue
-        form = normal_form(R, sigma)
-        e_rng = PartialInjection.partial_identity(R.degree, form.range_face)
-        e_dom = PartialInjection.partial_identity(R.degree, form.domain_face)
-        if compose(e_rng, compose(R.unit_for(form.unit), e_dom)) != sigma:
+        unit = R.unit_for(normal_form(R, sigma))
+        e_rng = PartialInjection.partial_identity(R.degree, sigma.image)
+        e_dom = PartialInjection.partial_identity(R.degree, sigma.domain)
+        if compose(e_rng, compose(unit, e_dom)) != sigma:
             failures.append(f"{name}: normal form does not reconstruct")
             return
 
@@ -230,27 +230,31 @@ def _check_invertible_part_commutation(name, R, failures):
 
 
 def _check_transporters(name, R, failures):
+    # Every nonzero face of the layout records the unique shortest unit
+    # carrying its idempotent's face onto it, and that unit restricted there.
     group = R.group
-    for e in R.lattice.nonzero:
-        base = R.face(e)
-        for target in R.face_orbits[e.index]:
-            movers = [
-                w for w in group.elements if frozenset(map(R.unit_for(w), base)) == target
-            ]
-            least = min(w.length for w in movers)
-            shortest = [w for w in movers if w.length == least]
-            if len(shortest) != 1:
-                failures.append(f"{name}: transporter to {sorted(target)} not unique")
-                return
-            t = face_transporter(R, base, target)
-            if t.unit != shortest[0]:
-                failures.append(f"{name}: transporter is not the shortest mover")
-                return
-            if compose(t.map, inverse(t.map)) != PartialInjection.partial_identity(
-                R.degree, target
-            ):
-                failures.append(f"{name}: transporter does not cover its target")
-                return
+    for mask, face in R.layout.faces.items():
+        if face.owner.is_zero:
+            continue
+        base, target = R.face(face.owner), mask_points(mask)
+        movers = [
+            w for w in group.elements if frozenset(map(R.unit_for(w), base)) == target
+        ]
+        least = min(w.length for w in movers)
+        shortest = [w for w in movers if w.length == least]
+        if len(shortest) != 1:
+            failures.append(f"{name}: transporter to {sorted(target)} not unique")
+            return
+        t = group.elements[face.unit]
+        if t != shortest[0]:
+            failures.append(f"{name}: transporter is not the shortest mover")
+            return
+        t_map = PartialInjection(face.map)
+        if t_map != compose(R.unit_for(t), R.idempotent_map(face.owner)) or compose(
+            t_map, inverse(t_map)
+        ) != PartialInjection.partial_identity(R.degree, target):
+            failures.append(f"{name}: transporter does not cover its target")
+            return
 
 
 def test_criterion_8_structural_invariants(acceptance_monoids):

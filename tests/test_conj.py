@@ -33,7 +33,6 @@ from renner import (
     sim_classes_bruteforce,
     sim_conjugacy_classes,
     stratum_orbit_reports,
-    subrank,
 )
 from renner import conj, rootsys
 from renner.rootsys import DEFAULT_MAX_GROUP_ORDER
@@ -186,8 +185,9 @@ def test_munn_takes_one_invertible_part_per_sim_class(canonical_a2, monkeypatch)
 
 
 def test_munn_members_share_subrank(basic_b2):
+    # The subrank of x is the stratum of its invertible part.
     for cls in munn_classes(basic_b2).classes:
-        assert len({subrank(basic_b2, sigma) for sigma in cls}) == 1
+        assert len({basic_b2.stratum_of(invertible_part(sigma)) for sigma in cls}) == 1
 
 
 def test_munn_equals_semigroup_and_action_partitions(basic_a2, canonical_a2):

@@ -184,4 +184,5 @@ def test_lazy_group_is_made_once_across_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(seen) == 8 and len(calls) == 1
     assert len({id(group) for group, _ in seen}) == 1
-    assert len({id(star) for _, star in seen}) == 1
+    # Each request reads its parabolic anew, off the one group's tables.
+    assert all(star == seen[0][1] for _, star in seen)

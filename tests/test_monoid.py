@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import cached_build_lattice, grid_patterns, make_monoid, zero_map
+from conftest import cached_build_lattice, grid_patterns, make_monoid, mask_points, zero_map
 from oracles import (
     all_partial_injections,
     double_coset,
@@ -11,14 +11,12 @@ from oracles import (
     left_cosets,
 )
 from renner import (
-    NotInOrbit,
     PartialInjection,
     SizeCapExceeded,
     ZeroElement,
     build_renner,
     cartan_matrix,
     compose,
-    face_transporter,
     generate_weyl,
     inverse,
     invertible_part,
@@ -27,7 +25,6 @@ from renner import (
     parabolic,
     project,
     stable_domain,
-    subrank,
     weight_orbit,
 )
 from renner.monoid import element_label, face_layout, iter_export
@@ -89,9 +86,10 @@ def test_strata_have_their_closed_form_sizes(small_grid):
             assert len(R.strata[e.index]) == R.lattice.stratum_size(e), config
             # One equal consecutive block per face, in face-orbit order: the
             # layout the sim labels read.
-            stratum, faces = R.strata[e.index], R.face_orbits[e.index]
+            stratum = R.strata[e.index]
+            faces = [mask_points(m) for m, face in R.layout.faces.items() if face.owner is e]
             block, rest = divmod(len(stratum), len(faces))
-            assert rest == 0 and stratum == tuple(range(stratum[0], stratum[-1] + 1))
+            assert rest == 0, (config, e.label)
             for k, face in enumerate(faces):
                 for i in stratum[k * block:(k + 1) * block]:
                     assert R.elements[i].domain == face, (config, e.label, k)
@@ -174,9 +172,8 @@ def test_idempotents_are_partial_identities_on_faces(acceptance_monoids):
     for _, R in acceptance_monoids:
         idempotents = {sigma for sigma in R.elements if compose(sigma, sigma) == sigma}
         assert idempotents == {
-            PartialInjection.partial_identity(R.degree, face)
-            for e in R.lattice.idempotents
-            for face in R.face_orbits[e.index]
+            PartialInjection.partial_identity(R.degree, mask_points(mask))
+            for mask in R.layout.faces
         }
         for e in R.lattice.idempotents:
             assert R.idempotent_map(e) == PartialInjection.partial_identity(R.degree, R.face(e))
@@ -241,12 +238,9 @@ def test_normal_form_roundtrip(acceptance_monoids):
         for sigma in R.elements:
             if sigma == R.zero:
                 continue
-            form = normal_form(R, sigma)
-            assert form.domain_face == sigma.domain
-            assert form.range_face == sigma.image
-            e_rng = PartialInjection.partial_identity(R.degree, form.range_face)
-            e_dom = PartialInjection.partial_identity(R.degree, form.domain_face)
-            unit = R.unit_for(form.unit)
+            unit = R.unit_for(normal_form(R, sigma))
+            e_rng = PartialInjection.partial_identity(R.degree, sigma.image)
+            e_dom = PartialInjection.partial_identity(R.degree, sigma.domain)
             assert compose(e_rng, compose(unit, e_dom)) == sigma
             # The unit is a factorizability witness: sigma is its restriction.
             assert compose(unit, e_dom) == sigma
@@ -257,24 +251,21 @@ def test_normal_form_unit_is_minimal(basic_b2):
     for sigma in R.elements:
         if sigma == R.zero:
             continue
-        form = normal_form(R, sigma)
         e_dom = PartialInjection.partial_identity(R.degree, sigma.domain)
         extending = [w for w in R.group.elements if compose(R.unit_for(w), e_dom) == sigma]
-        assert form.unit == min(extending, key=lambda w: w.canonical_key())
+        assert normal_form(R, sigma) == min(extending, key=lambda w: w.canonical_key())
 
 
 def test_normal_form_special_cases(basic_a2):
     R = basic_a2
     with pytest.raises(ZeroElement):
         normal_form(R, R.zero)
-    full = frozenset(range(R.degree))
     for w in R.group.elements:
-        form = normal_form(R, R.unit_for(w))
-        assert form == type(form)(full, w, full)
+        assert normal_form(R, R.unit_for(w)) == w
     e1 = R.lattice.nonzero[1]
-    form = normal_form(R, R.idempotent_map(e1))
-    assert form.unit == R.group.identity
-    assert form.domain_face == form.range_face == R.face(e1)
+    e1_map = R.idempotent_map(e1)
+    assert normal_form(R, e1_map) == R.group.identity
+    assert e1_map.domain == e1_map.image == R.face(e1)
 
 
 def test_normal_form_rejects_foreign_elements(basic_a2):
@@ -282,12 +273,12 @@ def test_normal_form_rejects_foreign_elements(basic_a2):
         normal_form(basic_a2, zero_map(5))
 
 
-def test_project_and_subrank_reject_foreign_elements(basic_b2):
+def test_project_and_normal_form_reject_foreign_elements(basic_b2):
     # First basic B2 acts on 4 vertices; swapping the last two while fixing
     # the first two is a permutation outside the 8 units.
     foreign = PartialInjection.from_targets((0, 1, 3, 2))
     assert foreign not in basic_b2
-    for fn in (normal_form, project, subrank):
+    for fn in (normal_form, project, element_label):
         with pytest.raises(ValueError, match="does not belong to the monoid"):
             fn(basic_b2, foreign)
 
@@ -303,24 +294,25 @@ def test_invertible_part_stays_in_monoid(acceptance_monoids):
 
 
 def test_subrank_cases(basic_a2):
+    # The subrank of x is the stratum of its invertible part.
     R = basic_a2
     for w in R.group.elements:
-        assert subrank(R, R.unit_for(w)) is R.lattice.one
-    assert subrank(R, R.zero) is R.lattice.zero
+        assert R.stratum_of(invertible_part(R.unit_for(w))) is R.lattice.one
+    assert R.stratum_of(invertible_part(R.zero)) is R.lattice.zero
     e0, e1 = R.lattice.nonzero[0], R.lattice.nonzero[1]
     # s2 * e_1 keeps only the seed vertex stable, so its subrank drops to e_0.
     s2e1 = compose(R.unit_for(R.group.generators[1]), R.idempotent_map(e1))
-    assert subrank(R, s2e1) is e0
+    assert R.stratum_of(invertible_part(s2e1)) is e0
     # s1 * e_0 moves the single stable vertex away: nilpotent, subrank zero.
     s1e0 = compose(R.unit_for(R.group.generators[0]), R.idempotent_map(e0))
-    assert subrank(R, s1e0) is R.lattice.zero
+    assert R.stratum_of(invertible_part(s1e0)) is R.lattice.zero
 
 
 def test_face_action_consistency(acceptance_monoids):
     # Conjugating a face idempotent by a unit is the idempotent on the moved
     # face.
     for _, R in acceptance_monoids:
-        faces = [f for e in R.lattice.idempotents for f in R.face_orbits[e.index]]
+        faces = [mask_points(mask) for mask in R.layout.faces]
         for w in R.group.elements:
             u = R.unit_for(w)
             ui = R.unit_for(R.group.inv(w))
@@ -331,40 +323,52 @@ def test_face_action_consistency(acceptance_monoids):
                 )
 
 
-def test_face_transporter_identity_and_errors(basic_a2):
+def test_face_transporter_identity_and_orbits(basic_a2):
+    # Each idempotent owns exactly the faces of its own face's orbit, and
+    # of these only its own face has the identity as transporter.
     R = basic_a2
-    e0 = R.lattice.nonzero[0]
-    t = face_transporter(R, R.face(e0), R.face(e0))
-    assert t.unit == R.group.identity
-    assert t.map == R.idempotent_map(e0)
-    e1 = R.lattice.nonzero[1]
-    with pytest.raises(NotInOrbit):
-        face_transporter(R, R.face(e0), R.face(e1))
-    with pytest.raises(ValueError):
-        # A moved face is in the orbit but is not the lattice face itself.
-        moved = next(
-            f for f in R.face_orbits[e1.index] if f != R.face(e1)
-        )
-        face_transporter(R, moved, R.face(e1))
+    units = [R.unit_for(w) for w in R.group.elements]
+    for e in R.lattice.idempotents:
+        owned = {mask_points(m): face for m, face in R.layout.faces.items() if face.owner is e}
+        assert set(owned) == {frozenset(map(u, R.face(e))) for u in units}, e.label
+        assert [f for f, face in owned.items() if face.unit == 0] == [R.face(e)]
+        assert PartialInjection(owned[R.face(e)].map) == R.idempotent_map(e)
 
 
 def test_face_transporter_minimal_and_unique(acceptance_monoids):
     for _, R in acceptance_monoids:
         group = R.group
-        for e in R.lattice.nonzero:
-            base = R.face(e)
-            for target in R.face_orbits[e.index]:
-                movers = [
-                    w for w in group.elements if frozenset(map(R.unit_for(w), base)) == target
-                ]
-                least = min(w.length for w in movers)
-                shortest = [w for w in movers if w.length == least]
-                assert len(shortest) == 1
-                t = face_transporter(R, base, target)
-                assert t.unit == shortest[0]
-                assert compose(t.map, inverse(t.map)) == PartialInjection.partial_identity(
-                    R.degree, target
-                )
+        for mask, face in R.layout.faces.items():
+            if face.owner.is_zero:
+                continue
+            base, target = R.face(face.owner), mask_points(mask)
+            movers = [
+                w for w in group.elements if frozenset(map(R.unit_for(w), base)) == target
+            ]
+            least = min(w.length for w in movers)
+            shortest = [w for w in movers if w.length == least]
+            assert len(shortest) == 1
+            t = group.elements[face.unit]
+            assert t == shortest[0]
+            # The recorded map is t restricted to the base face.
+            t_map = PartialInjection(face.map)
+            assert t_map == compose(R.unit_for(t), R.idempotent_map(face.owner))
+            assert compose(t_map, inverse(t_map)) == PartialInjection.partial_identity(
+                R.degree, target
+            )
+
+
+def test_every_domain_is_a_face_of_its_stratum(small_grid):
+    # An element's domain, as a 0/1 mask, is a face of the layout, owned by
+    # the idempotent whose stratum range holds the element's index.
+    built, _ = small_grid
+    for config, R in built:
+        n = R.degree
+        for e in R.lattice.idempotents:
+            for i in R.strata[e.index]:
+                domain = R.elements[i].domain
+                mask = bytes(int(p in domain) for p in range(n)) + bytes(1)
+                assert R.layout.faces[mask].owner is e, (config, e.label, i)
 
 
 def test_project_basics(acceptance_monoids):
@@ -377,6 +381,7 @@ def test_project_basics(acceptance_monoids):
 
 def test_project_lands_in_star_group_and_roundtrips(basic_b2, canonical_a2):
     for R in (basic_b2, canonical_a2):
+        faces = {mask_points(mask): face for mask, face in R.layout.faces.items()}
         star_sets = {}
         for e in R.lattice.nonzero:
             star_sets[e.index] = {
@@ -389,21 +394,21 @@ def test_project_lands_in_star_group_and_roundtrips(basic_b2, canonical_a2):
             e = R.stratum_of(sigma)
             p = project(R, sigma)
             assert p in star_sets[e.index]
-            to_dom = face_transporter(R, R.face(e), sigma.domain)
-            to_rng = face_transporter(R, R.face(e), sigma.image)
-            assert compose(to_rng.map, compose(p, inverse(to_dom.map))) == sigma
+            to_dom = PartialInjection(faces[sigma.domain].map)
+            to_rng = PartialInjection(faces[sigma.image].map)
+            assert compose(to_rng, compose(p, inverse(to_dom))) == sigma
 
 
 def test_project_of_invertible_part_is_unit_conjugation(basic_b2):
     R = basic_b2
+    faces = {mask_points(mask): face for mask, face in R.layout.faces.items()}
     for sigma in R.elements:
         part = invertible_part(sigma)
         if part == R.zero:
             continue
-        e = R.stratum_of(part)
-        t = face_transporter(R, R.face(e), part.domain)
-        w = R.unit_for(t.unit)
-        wi = R.unit_for(R.group.inv(t.unit))
+        t = R.group.elements[faces[part.domain].unit]
+        w = R.unit_for(t)
+        wi = R.unit_for(R.group.inv(t))
         assert project(R, part) == compose(wi, compose(part, w))
 
 
@@ -459,7 +464,7 @@ def test_streamed_export_is_the_built_monoids_export():
             continue
         R = build_renner(cartan, mu, max_monoid_order=5000)
         pieces = list(iter_export(R.lattice))
-        assert len(pieces) == sum(len(orbit) for orbit in R.face_orbits.values()) + 1
+        assert len(pieces) == len(R.layout.faces) + 1
         assert "".join(pieces) == export_from_elements(R), (letter, rank, mu)
         # monoid_to_json reads the same text off R's faces and codes.
         assert monoid_to_json(R) == "".join(pieces), (letter, rank, mu)
@@ -495,10 +500,9 @@ def test_normal_form_of_unit_times_idempotent(basic_a2):
     s1 = R.group.generators[0]
     e1 = R.lattice.nonzero[1]
     sigma = compose(R.unit_for(s1), R.idempotent_map(e1))
-    form = normal_form(R, sigma)
-    assert form.unit == s1
-    assert form.domain_face == R.face(e1)
-    assert form.range_face == frozenset(map(R.unit_for(s1), R.face(e1)))
+    assert normal_form(R, sigma) == s1
+    assert sigma.domain == R.face(e1)
+    assert sigma.image == frozenset(map(R.unit_for(s1), R.face(e1)))
 
 
 def test_project_fixes_realized_star_elements(basic_b2):

@@ -166,7 +166,6 @@ def test_index_tables_are_the_products_with_generators():
             for k, w in enumerate(elements):
                 assert elements[group.right[i][k]] == group.mul(w, s)
                 assert elements[group.left[i][k]] == group.mul(s, w)
-        assert group.left is group.left  # made once
 
 
 def test_parabolic_orders():
