@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, cycle, islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .crosslat import CrossIdempotent, CrossSectionLattice, build_lattice
@@ -105,6 +106,8 @@ class RennerMonoid:
 
     def stratum_of(self, sigma: PartialInjection) -> CrossIdempotent:
         """The lattice idempotent whose double coset contains sigma."""
+        if sigma not in self:
+            raise ValueError("element does not belong to the monoid")
         return self._face_of(sigma).owner
 
     def _face_of(self, sigma: PartialInjection) -> Face:
@@ -248,7 +251,7 @@ def face_layout(lattice: CrossSectionLattice) -> FaceLayout:
                     t_inv = bytes.maketrans(table[: n + 1], every)
                     faces[moved] = Face(e, t, code.translate(table), t_inv)
                     orbit.append((moved, t))
-        if len(orbit) * len(set(map(code.translate, unit_tables))) != lattice.stratum_size(e):
+        if len(orbit) * len(_restrictions(code, unit_tables)) != lattice.stratum_size(e):
             raise ConstructionError(f"stratum {e.label} differs from its closed-form size")
     return FaceLayout(vertices, tuple(unit_tables), faces)
 
@@ -269,18 +272,15 @@ def _stratum_ranges(lattice: CrossSectionLattice) -> Iterator[tuple[CrossIdempot
         start += size
 
 
-def _restrictions(face_code: bytes, unit_tables: Sequence[bytes]) -> dict[bytes, int]:
+def _restrictions(face_code: bytes, unit_tables: Sequence[bytes]) -> dict[bytes, None]:
     """The distinct restrictions of the units to a face, given by its
     partial-identity code: each map's byte code, in (length, word) order of
-    the first unit making it, with that unit's position.  A permutation
-    after a partial identity is injective, so every code is valid."""
-    made: dict[bytes, int] = {}
-    for k, table in enumerate(unit_tables):
-        made.setdefault(face_code.translate(table), k)
-    return made
+    the first unit making it.  A permutation after a partial identity is
+    injective, so every code is valid."""
+    return dict.fromkeys(map(face_code.translate, unit_tables))
 
 
-def _scan(layout: FaceLayout) -> Iterator[tuple[Face, dict[bytes, int]]]:
+def _scan(layout: FaceLayout) -> Iterator[tuple[Face, dict[bytes, None]]]:
     """Each face with its restrictions, in the order of R's elements: the
     faces in walk order, and on each face the restrictions in (length,
     word) order of their first unit."""
@@ -311,14 +311,17 @@ def build_renner(
     check_monoid_cap(lattice, max_monoid_order)
     layout = face_layout(lattice)
     units = lattice.group.elements
+    tables = layout.unit_tables
+    backwards = range(len(tables) - 1, -1, -1)
 
     elements: list[PartialInjection] = []
     canonical_units: list[WeylElement] = []
     sizes = dict.fromkeys((e.index for e in lattice.idempotents), 0)
     for face, made in _scan(layout):
-        for code, k in made.items():
-            elements.append(PartialInjection._trusted(code))
-            canonical_units.append(units[k])
+        # Written from the last unit back, each code keeps its first unit.
+        first = dict(zip(map(face.identity.translate, reversed(tables)), backwards))
+        elements.extend(map(PartialInjection._trusted, made))
+        canonical_units.extend(map(units.__getitem__, map(first.__getitem__, made)))
         sizes[face.owner.index] += len(made)
     for e in lattice.idempotents:
         if sizes[e.index] != lattice.stratum_size(e):
@@ -408,52 +411,66 @@ def iter_export(lattice: CrossSectionLattice) -> Iterator[str]:
 def _export_pieces(lattice: CrossSectionLattice, layout: FaceLayout) -> Iterator[str]:
     """The export text, one piece per face, in the order of ``_scan``, then
     a closing piece.  The elements are written from their byte codes: no
-    element object is made and no piece is kept.
+    element object is made, no piece is kept, and no Python code runs per
+    element.
 
-    On a fixed face each element is written from the rows of the face's
-    sources, indexed by the code's targets.  The generators (the simple
-    reflections' units, then each idempotent on its own face), the strata
+    On a fixed face, deleting the undefined bytes from all its codes at once
+    leaves their targets end to end, each code's in source order; each
+    target is looked up in the row of fragments of its source, in one join
+    per face.  The generators (the simple reflections' units, then
+    each idempotent on its own face) go through the same writer; the strata
     (ranges of the closed-form sizes) and the vertices close the text.
     """
     n = layout.degree
-    # rows[i][t]: the pair [i, t] as written at element depth.
-    rows = [[f"[\n        {i},\n        {t}\n      ]" for t in range(n)] for i in range(n)]
     undefined = bytes([n])
+    # inner[i][t]: the pair [i, t] at element depth and the text up to the
+    # element's next pair.
+    inner = [
+        [f"[\n        {i},\n        {t}\n      ],\n      " for t in range(n)] for i in range(n)
+    ]
+    # closing[i][t]: the pair [i, t] closing its element and opening the
+    # next; made for the points that end some face.
+    closing: list[Optional[list[str]]] = [None] * n
 
-    def written(sources: bytes, codes: Iterable[bytes]) -> str:
-        """The elements ``codes``, each defined on the points ``sources``
-        (ascending)."""
+    def written(sources: bytes, targets: bytes, head: str) -> str:
+        """``head``, then the elements defined on the points ``sources``
+        (ascending) whose targets, in source order, are the consecutive
+        ``len(sources)``-byte runs of ``targets``.  The only map on the
+        empty face is the zero."""
         if not sources:
-            return ",\n    ".join("[]" for _ in codes)
-        picked = [rows[i] for i in sources]
-        # ``_json_block(..., 4)`` written out: a call per element costs a
-        # quarter of the text's time.  Deleting the undefined bytes leaves
-        # the targets in source order.
-        return ",\n    ".join([
-            "[\n      " + ",\n      ".join(map(list.__getitem__, picked, code.translate(None, undefined)))
-            + "\n    ]"
-            for code in codes
-        ])
+            return head + "[]"
+        last = sources[-1]
+        if closing[last] is None:
+            closing[last] = [
+                f"[\n        {last},\n        {t}\n      ]\n    ],\n    [\n      " for t in range(n)
+            ]
+        picked = [inner[i] for i in sources[:-1]]
+        picked.append(closing[last])
+        # Every pair but the final one, which closes the last element.
+        pairs = islice(map(list.__getitem__, cycle(picked), targets), len(targets) - 1)
+        end = f"[\n        {last},\n        {targets[-1]}\n      ]\n    ]"
+        return "".join(chain((head, "[\n      "), pairs, (end,)))
 
-    separator = '{\n  "elements": [\n    '
+    head = '{\n  "elements": [\n    '
     for face, made in _scan(layout):
-        # Deleting the undefined bytes from a partial identity leaves its
-        # points in order.
-        yield separator + written(face.identity.translate(None, undefined), made)
-        separator = ",\n    "
+        sources = face.identity.translate(None, undefined)
+        yield written(sources, b"".join(made).translate(None, undefined), head)
+        head = ",\n    "
 
     # The units of the simple reflections (units 1..rank in (length, word)
     # order), then each idempotent on its own face, the one whose
     # transporter is the identity; drops repeats, keeps first-seen order.
     everything = bytes(range(n))
+    own_points = [
+        face.map.translate(None, undefined) for face in layout.faces.values() if face.unit == 0
+    ]
     generators = dict.fromkeys(
-        [(everything, table[: n + 1]) for table in layout.unit_tables[1 : lattice.cartan.rank + 1]]
-        + [(face.map.translate(None, undefined), face.map)
-           for face in layout.faces.values() if face.unit == 0]
+        [(everything, table[:n]) for table in layout.unit_tables[1 : lattice.cartan.rank + 1]]
+        + [(points, points) for points in own_points]
     )
     strata = {e.label: r for e, r in _stratum_ranges(lattice)}
     yield "".join([
-        '\n  ],\n  "generators": ', _json_block((written(s, [c]) for s, c in generators), 2),
+        '\n  ],\n  "generators": ', _json_block((written(s, t, "") for s, t in generators), 2),
         ',\n  "strata": ', _json_block(
             (f"{json.dumps(k)}: {_json_block(map(str, strata[k]), 4)}" for k in sorted(strata)),
             2, "{}",

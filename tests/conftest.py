@@ -23,6 +23,14 @@ def grid_patterns():
                 yield letter, rank, mu
 
 
+# The six monoids of the benchmark's build-export workload, |R| 1.8k-21k,
+# degree 6-48: past the grid's cap, so their exports get their own checks.
+EXPORT_CONFIGS = (
+    ("A3", "1,1,1"), ("B3", "1,1,1"), ("D4", "1,0,0,0"),
+    ("B4", "0,0,0,1"), ("A5", "0,0,0,0,1"), ("A4", "0,1,0,1"),
+)
+
+
 # A lattice never changes once made (its group is made once, on first use),
 # so one per configuration serves every test that asks for it, through the
 # CLI (patched in) or directly.

@@ -32,7 +32,7 @@ import hashlib
 import io
 
 import renner
-from conftest import cached_build_lattice, grid_patterns, rebind_everywhere
+from conftest import EXPORT_CONFIGS, cached_build_lattice, grid_patterns, rebind_everywhere
 from renner import cli, crosslat, rootsys
 
 FORMATS = ("table", "json", "csv")
@@ -42,11 +42,6 @@ CLASSES_DIGEST = "96f77c86c229ddd4a59cccba9fc0912e55851b269f20acfc9eac40ba2dea0e
 PAIRWISE_DIGEST = "d098af55ef4196a7625d540cb52aa40989f2ddf1d38b0b8734b881141c698026"
 BUILD_DIGEST = "d7e0640b6e67168550bbd978462d2951decc296cec0b09f398ba24a9ff5ee26e"
 EXPORT_DIGEST = "b52a066c16db5514472d05962a59242341e3296e26b3a6b4c6271899d0ee4604"
-# The six monoids of the benchmark's build-export workload, |R| 1.8k-21k.
-EXPORT_CONFIGS = (
-    ("A3", "1,1,1"), ("B3", "1,1,1"), ("D4", "1,0,0,0"),
-    ("B4", "0,0,0,1"), ("A5", "0,0,0,0,1"), ("A4", "0,1,0,1"),
-)
 PAIRWISE_MAX_ORDER = 300
 # The grid's 441 lattice queries alone, as printed from enumerated subgroups.
 LATTICE_DIGEST = "675db0eddebe5d56d3d769f604b142fd6f6f9e382adf93a786d68b29f30e0b9c"

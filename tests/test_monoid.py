@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from conftest import cached_build_lattice, grid_patterns, make_monoid, mask_points, zero_map
+from conftest import (
+    EXPORT_CONFIGS,
+    cached_build_lattice,
+    grid_patterns,
+    make_monoid,
+    mask_points,
+    zero_map,
+)
 from oracles import (
     all_partial_injections,
     double_coset,
@@ -12,9 +19,9 @@ from oracles import (
 )
 from renner import (
     PartialInjection,
+    RennerMonoid,
     SizeCapExceeded,
     ZeroElement,
-    build_renner,
     cartan_matrix,
     compose,
     generate_weyl,
@@ -274,13 +281,24 @@ def test_normal_form_rejects_foreign_elements(basic_a2):
 
 
 def test_project_and_normal_form_reject_foreign_elements(basic_b2):
-    # First basic B2 acts on 4 vertices; swapping the last two while fixing
-    # the first two is a permutation outside the 8 units.
-    foreign = PartialInjection.from_targets((0, 1, 3, 2))
-    assert foreign not in basic_b2
-    for fn in (normal_form, project, element_label):
-        with pytest.raises(ValueError, match="does not belong to the monoid"):
-            fn(basic_b2, foreign)
+    # First basic B2 acts on 4 vertices.  None of these maps is in R,
+    # whatever its domain: swapping the last two points while fixing the
+    # first two is a permutation outside the 8 units, the second maps the
+    # face {0, 1} of e_1 onto {0, 3}, which is no face, and the third is
+    # defined on {0, 3}.
+    R = basic_b2
+    faces = set(map(mask_points, R.layout.faces))
+    assert frozenset({0, 1}) in faces and frozenset({0, 3}) not in faces
+    foreign = [
+        PartialInjection.from_targets((0, 1, 3, 2)),
+        PartialInjection.from_targets((0, 3, None, None)),
+        PartialInjection.from_targets((0, None, None, 1)),
+    ]
+    for sigma in foreign:
+        assert sigma not in R
+        for fn in (normal_form, project, element_label, RennerMonoid.stratum_of):
+            with pytest.raises(ValueError, match="does not belong to the monoid"):
+                fn(R, sigma)
 
 
 def test_invertible_part_stays_in_monoid(acceptance_monoids):
@@ -455,21 +473,26 @@ def test_export_text_is_what_json_dumps_writes(small_grid):
 
 def test_streamed_export_is_the_built_monoids_export():
     # The stream makes no element; written per element from the built
-    # monoid, and by monoid_to_json, the export must be the same text on every grid configuration
-    # with |R| <= 5000.
-    checked = 0
-    for letter, rank, mu in grid_patterns():
-        cartan = cartan_matrix(letter, rank)
-        if cached_build_lattice(cartan, mu).monoid_order > 5000:
-            continue
-        R = build_renner(cartan, mu, max_monoid_order=5000)
+    # monoid, and by monoid_to_json, the export must be the same text on
+    # every grid configuration with |R| <= 5000, and on the six monoids the
+    # benchmark exports (|R| 1.8k-21k), whose golden digest only says that
+    # their text changed.
+    configs = [
+        (letter, rank, mu) for letter, rank, mu in grid_patterns()
+        if cached_build_lattice(cartan_matrix(letter, rank), mu).monoid_order <= 5000
+    ]
+    assert len(configs) == 41
+    configs += [
+        (letter_rank[0], int(letter_rank[1:]), tuple(map(int, weight.split(","))))
+        for letter_rank, weight in EXPORT_CONFIGS
+    ]
+    for letter, rank, mu in configs:
+        R = make_monoid(letter, rank, mu)
         pieces = list(iter_export(R.lattice))
         assert len(pieces) == len(R.layout.faces) + 1
         assert "".join(pieces) == export_from_elements(R), (letter, rank, mu)
         # monoid_to_json reads the same text off R's faces and codes.
         assert monoid_to_json(R) == "".join(pieces), (letter, rank, mu)
-        checked += 1
-    assert checked == 41
 
 
 def test_built_elements_pass_full_validation(small_grid):
